@@ -269,6 +269,7 @@ def _cmd_bench(args) -> int:
             "converged": result.converged,
             "ms_per_iteration": 1000.0 * elapsed / max(result.iterations, 1),
             "relative_error": solver.relative_error(result.X, inst.planted),
+            "blas_threads": result.blas_threads,
         },
         args.out,
     )
@@ -378,7 +379,8 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    # MemoryError: a header that declares more nodes than a dense matrix can hold
+    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,11 @@
 """Phase-diagram harness: recovery probability over a (p, k) grid.
 
 Every trial is a pure function of (master_seed, p_index, k_index, trial), so
-grids are reproducible bit for bit and trials can be farmed out to a process
-pool without affecting the result.  Failed trials count as non-recoveries
-and carry an error tag; they never abort the grid.
+on a fixed BLAS build (numpy/scipy wheels and their bundled OpenBLAS) grids
+are reproducible bit for bit, and trials can be farmed out to a process pool
+without affecting the result.  The BLAS thread count does not matter, since
+every solve runs on one thread.  Failed trials count as non-recoveries and
+carry an error tag; they never abort the grid.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import PlantedDksParams, child_seed, sample_dks
-from .solver import SolverConfig, relative_error, solve_dks
+from .solver import SolverConfig, _one_blas_thread, default_gamma, relative_error, solve_dks
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,7 @@ class TrialRecord:
     converged: bool
     relative_error: float
     wall_time: float
+    hit_cap: bool = False  # stopped by max_iter rather than by tol or the finite guard
     error: str | None = None
 
 
@@ -82,7 +85,7 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
     seed = child_seed(cfg.master_seed, p_idx, k_idx, trial)
     solver_cfg = cfg.solver
     if solver_cfg.gamma is None:
-        solver_cfg = replace(solver_cfg, gamma=6.0 / k)
+        solver_cfg = replace(solver_cfg, gamma=default_gamma(k))
     start = time.perf_counter()
     try:
         inst = sample_dks(PlantedDksParams(n=cfg.n, k=k, p=p, q=cfg.q, seed=seed))
@@ -97,6 +100,7 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
             converged=result.converged,
             relative_error=float(err),
             wall_time=time.perf_counter() - start,
+            hit_cap=not result.converged and result.iterations == solver_cfg.max_iter,
         )
     except Exception as exc:  # record the failure, never abort the grid
         return TrialRecord(
@@ -142,7 +146,9 @@ def run_phase_diagram(
 
     With jobs > 1 trials are mapped over a process pool; each trial's RNG
     stream and output slot are functions of its indices, so the result does
-    not depend on scheduling.
+    not depend on scheduling.  The pool is created with BLAS pinned to one
+    thread, so forked workers start on one and their solves never call a
+    thread setter (which would start OpenBLAS's thread pool in each worker).
     """
     tasks = [
         (p_idx, k_idx, trial)
@@ -151,7 +157,7 @@ def run_phase_diagram(
         for trial in range(cfg.trials)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_trial_star, [(cfg, *t) for t in tasks], chunksize=1))
     else:
         records = [run_trial(cfg, *t) for t in tasks]

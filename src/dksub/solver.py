@@ -30,8 +30,12 @@ around admits two readings that do not agree:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -77,6 +81,9 @@ class SolverResult:
     dual_residual: float
     objective: float
     residual_history: np.ndarray = field(repr=False)
+    # thread count of each bundled OpenBLAS during the solve, None for a copy
+    # that was not found
+    blas_threads: dict[str, int | None] = field(repr=False)
 
 
 def default_gamma(k: int) -> float:
@@ -142,6 +149,63 @@ def _nuclear_norm(X: np.ndarray, symmetric: bool) -> float:
     return float(np.linalg.svd(X, compute_uv=False).sum())
 
 
+def _openblas_controls(libdir: Path, suffix: str):
+    """(get, set) thread-count functions of the OpenBLAS bundled in libdir,
+    or None when there is none there."""
+    paths = sorted(libdir.glob("libscipy_openblas*.so*"))
+    if not paths:
+        return None
+    try:
+        # the package import has loaded it already, so this is the live copy
+        lib = ctypes.CDLL(str(paths[0]))
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+    except (OSError, AttributeError):
+        return None
+    get.argtypes = []
+    get.restype = ctypes.c_int
+    set_.argtypes = [ctypes.c_int]
+    set_.restype = None
+    return get, set_
+
+
+@functools.cache
+def _blas_controls() -> dict:
+    """Thread controls of the OpenBLAS copies that the numpy and scipy wheels
+    bundle in numpy.libs and scipy.libs.  np.linalg and scipy.linalg run on
+    different copies; numpy's exports its symbols with a "64_" suffix.  A
+    copy that is not found (non-wheel builds, MKL) maps to None."""
+    return {
+        name: _openblas_controls(
+            Path(module.__file__).resolve().parent.parent / f"{name}.libs", suffix
+        )
+        for name, module, suffix in (("numpy", np, "64_"), ("scipy", scipy, ""))
+    }
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS on one thread and restore the
+    caller's counts on exit.  Yields the counts in effect (None for a copy
+    that was not found).
+
+    A copy that already reads 1 is left alone: in a forked worker any setter
+    call, even to 1, starts OpenBLAS's thread pool.
+    """
+    controls = _blas_controls()
+    restore = []
+    for get, set_ in (c for c in controls.values() if c is not None):
+        count = get()
+        if count != 1:
+            set_(1)
+            restore.append((set_, count))
+    try:
+        yield {name: None if c is None else c[0]() for name, c in controls.items()}
+    finally:
+        for set_, count in restore:
+            set_(count)
+
+
 def _admm(
     nonedge: np.ndarray,
     sum_target: float,
@@ -168,57 +232,61 @@ def _admm(
     converged = False
     rp = rd = math.inf
     iterations = 0
-    # divergent runs (possible in paper mode) trip the finite guard below;
-    # silence the overflow that precedes it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.max_iter):
-            if cfg.mode == "paper":
-                Q = np.where(nonedge, X + Y - LQ, 0.0)
-                Xt = Q + 2.0 * X - Z - W - LW
-                if not np.isfinite(Xt).all():
+    # one BLAS thread: a threaded solve measured ~3x slower at n=250 and a
+    # threaded eigh+GEMM within 5% at n=1000 (see README); jobs is the axis
+    # for parallelism
+    with _one_blas_thread() as blas_threads:
+        # divergent runs (possible in paper mode) trip the finite guard below;
+        # silence the overflow that precedes it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(cfg.max_iter):
+                if cfg.mode == "paper":
+                    Q = np.where(nonedge, X + Y - LQ, 0.0)
+                    Xt = Q + 2.0 * X - Z - W - LW
+                    if not np.isfinite(Xt).all():
+                        break
+                    Xn = shrink(Xt, tau)
+                    Yn = soft_threshold(Y - tau * Q, tau * gamma)
+                    Wn = project_sum(Xn - LW, sum_target)
+                    Zn = clamp_box(Xn - LZ)
+                    LQn = np.where(keep, LQ - (Xn + Yn), 0.0)
+                    LWn = LW - (Xn - Wn)
+                    LZn = LZ - (Xn - Zn)
+                    dual_step = LQn - LQ
+                else:
+                    Q = np.where(keep, X + Y + LQ, 0.0)
+                    C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3.0
+                    if not np.isfinite(C).all():
+                        break
+                    Xn = shrink(C, 1.0 / (3.0 * tau))
+                    Yn = soft_threshold(Q - Xn - LQ, gamma / tau)
+                    Wn = project_sum(Xn + LW, sum_target)
+                    Zn = clamp_box(Xn + LZ)
+                    LQn = LQ + (Xn + Yn - Q)
+                    LWn = LW + (Xn - Wn)
+                    LZn = LZ + (Xn - Zn)
+                    dual_step = tau * (LQn - LQ)  # report the unscaled multiplier change
+                rp = max(
+                    float(np.linalg.norm(Xn - Wn)),
+                    float(np.linalg.norm(Xn - Zn)),
+                    float(np.linalg.norm(Xn + Yn - Q)),
+                )
+                rd = max(
+                    float(np.linalg.norm(Wn - W)),
+                    float(np.linalg.norm(Zn - Z)),
+                    float(np.linalg.norm(dual_step)),
+                )
+                X, Y, W, Z, LQ, LW, LZ = Xn, Yn, Wn, Zn, LQn, LWn, LZn
+                history.append((rp, rd))
+                iterations = it + 1
+                if max(rp, rd) < cfg.tol:
+                    converged = True
                     break
-                Xn = shrink(Xt, tau)
-                Yn = soft_threshold(Y - tau * Q, tau * gamma)
-                Wn = project_sum(Xn - LW, sum_target)
-                Zn = clamp_box(Xn - LZ)
-                LQn = np.where(keep, LQ - (Xn + Yn), 0.0)
-                LWn = LW - (Xn - Wn)
-                LZn = LZ - (Xn - Zn)
-                dual_step = LQn - LQ
-            else:
-                Q = np.where(keep, X + Y + LQ, 0.0)
-                C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3.0
-                if not np.isfinite(C).all():
-                    break
-                Xn = shrink(C, 1.0 / (3.0 * tau))
-                Yn = soft_threshold(Q - Xn - LQ, gamma / tau)
-                Wn = project_sum(Xn + LW, sum_target)
-                Zn = clamp_box(Xn + LZ)
-                LQn = LQ + (Xn + Yn - Q)
-                LWn = LW + (Xn - Wn)
-                LZn = LZ + (Xn - Zn)
-                dual_step = tau * (LQn - LQ)  # report the unscaled multiplier change
-            rp = max(
-                float(np.linalg.norm(Xn - Wn)),
-                float(np.linalg.norm(Xn - Zn)),
-                float(np.linalg.norm(Xn + Yn - Q)),
-            )
-            rd = max(
-                float(np.linalg.norm(Wn - W)),
-                float(np.linalg.norm(Zn - Z)),
-                float(np.linalg.norm(dual_step)),
-            )
-            X, Y, W, Z, LQ, LW, LZ = Xn, Yn, Wn, Zn, LQn, LWn, LZn
-            history.append((rp, rd))
-            iterations = it + 1
-            if max(rp, rd) < cfg.tol:
-                converged = True
-                break
 
-    if np.isfinite(X).all():
-        objective = _nuclear_norm(X, symmetric) + gamma * float(np.abs(Y).sum())
-    else:
-        objective = math.nan
+        if np.isfinite(X).all():
+            objective = _nuclear_norm(X, symmetric) + gamma * float(np.abs(Y).sum())
+        else:
+            objective = math.nan
     return SolverResult(
         X=X,
         Y=Y,
@@ -228,6 +296,7 @@ def _admm(
         dual_residual=float(rd),
         objective=objective,
         residual_history=np.array(history) if history else np.zeros((0, 2)),
+        blas_threads=blas_threads,
     )
 
 

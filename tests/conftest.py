@@ -1,5 +1,11 @@
-"""Pin BLAS to one thread before numpy loads so results are bitwise
-reproducible regardless of how many worker processes a test uses."""
+"""Pin BLAS to one thread before numpy loads.
+
+Solves pin themselves to one thread whatever the caller's setting (see
+solver._one_blas_thread), so this pin is not what makes solver results
+reproducible.  It keeps the rest of what the tests run (rounding,
+certificates, the oracle) on one thread too, so no result depends on the
+machine's core count, and it gives the thread-policy tests in
+test_blas_threads.py a known starting count of one."""
 
 import os
 

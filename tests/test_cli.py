@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dksub import solver
 from dksub.cli import main
 from dksub.io import read_graph, truth_path
 
@@ -93,6 +94,12 @@ class TestSolve:
     def test_missing_file_is_bad_input(self, tmp_path):
         assert run(["solve", "--graph", tmp_path / "nope.txt", "--k", 3]) == 2
 
+    def test_unallocatable_node_count_is_bad_input(self, tmp_path, capsys):
+        graph_file = tmp_path / "huge.txt"
+        graph_file.write_text("100000000 0\n", encoding="utf-8")
+        assert run(["solve", "--graph", graph_file, "--k", 3]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCertify:
     def test_valid_certificate_json(self, tmp_path):
@@ -182,3 +189,8 @@ class TestBench:
         assert payload["converged"] is True
         assert payload["wall_time_s"] > 0
         assert payload["ms_per_iteration"] > 0
+        expected = {
+            name: None if controls is None else 1
+            for name, controls in solver._blas_controls().items()
+        }
+        assert payload["blas_threads"] == expected

@@ -92,6 +92,12 @@ class TestRunPhaseDiagram:
             rec_a.seed, rec_a.recovered, rec_a.iterations, rec_a.relative_error
         )
 
+    def test_hit_cap_only_when_stopped_by_max_iter(self):
+        capped = run_trial(tiny_config(solver=SolverConfig(max_iter=3)), 0, 1, 0)
+        assert (capped.converged, capped.iterations, capped.hit_cap) == (False, 3, True)
+        done = run_trial(tiny_config(), 0, 1, 0)
+        assert done.converged and not done.hit_cap
+
 
 class TestCsv:
     def cells(self):
