@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .graphs import BipartiteGraph, Graph, NodeSubset, complement_edges, bipartite_complement_edges
 
@@ -81,6 +82,9 @@ class SolverResult:
     dual_residual: float
     objective: float
     residual_history: np.ndarray = field(repr=False)
+    # eigen/singular values the SVT kept at each iteration, aligned with
+    # residual_history
+    svt_rank: np.ndarray = field(repr=False)
     # thread count of each bundled OpenBLAS during the solve, None for a copy
     # that was not found
     blas_threads: dict[str, int | None] = field(repr=False)
@@ -100,16 +104,25 @@ def default_gamma_bipartite(k1: int, k2: int) -> float:
     return 6.0 / math.sqrt(k1 * k2)
 
 
-def soft_threshold(x: np.ndarray, phi: float) -> np.ndarray:
-    """Entrywise shrink toward zero by phi."""
+def soft_threshold(x: np.ndarray, phi: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise shrink toward zero by phi.  out, when given, receives the
+    result and must not overlap x."""
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - phi, 0.0)
+    shrunk = np.abs(x, out=out)
+    shrunk -= phi
+    np.maximum(shrunk, 0.0, out=shrunk)
+    return np.copysign(shrunk, x, out=shrunk)
 
 
 def svt(M: np.ndarray, phi: float) -> np.ndarray:
     """Soft-threshold the singular values of M (the nuclear-norm prox)."""
+    return _svt(M, phi)[0]
+
+
+def _svt(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
+    """svt() and the number of singular values it kept."""
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
     M = np.asarray(M, dtype=float)
@@ -117,30 +130,136 @@ def svt(M: np.ndarray, phi: float) -> np.ndarray:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed on a {M.shape[0]}x{M.shape[1]} matrix") from exc
-    return (U * np.maximum(s - phi, 0.0)) @ Vt
+    s = np.maximum(s - phi, 0.0)
+    return (U * s) @ Vt, int(np.count_nonzero(s))
 
 
-def _svt_symmetric(M: np.ndarray, phi: float) -> np.ndarray:
-    """svt() specialized to symmetric input via an eigendecomposition."""
-    try:
-        w, V = scipy.linalg.eigh(M, driver="evd", check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"eigh failed on a {M.shape[0]}x{M.shape[0]} matrix") from exc
+# syevd's safe range for the entries of the matrix it decomposes
+_SCALE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_SCALE_MAX = 1.0 / _SCALE_MIN
+
+
+def _lapack_ok(info: int, routine: str, n: int) -> None:
+    if info != 0:
+        raise NumericalError(f"{routine} failed on a {n}x{n} matrix (info={info})")
+
+
+def _svt_symmetric(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
+    """svt() specialized to symmetric input, and the number of eigenvalues it
+    kept.  Only the lower triangle enters the decomposition.
+
+    One Householder reduction M = Q T Q' (dsytrd) serves both tails of the
+    spectrum: a Sturm count on T gives the number of eigenvalues outside
+    [-phi, phi], bisection (dstebz) finds them, inverse iteration (dstein)
+    gives their vectors, and only those vectors are carried back through Q.
+    This is LAPACK's syevx pipeline with the O(n^3) reduction done once.
+
+    When more than n/5 eigenpairs are kept, it is cheaper to finish the full
+    decomposition from the same reduction by divide and conquer (dstevd, then
+    all n vectors through Q), which is the pipeline of eigh(driver="evd").
+    The crossover measured 32-64 kept pairs at n=250 and 12-16 at n=60;
+    paper mode keeps nearly all of them.  The full path also takes over when
+    inverse iteration fails to converge.
+    """
+    if phi < 0:
+        raise ValueError("threshold must be nonnegative")
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    top = max(float(M.max()), -float(M.min()))  # both are NaN if any entry is
+    if not math.isfinite(top):
+        raise NumericalError(f"non-finite entries in a {n}x{n} matrix")
+    if 0.0 < top < _SCALE_MIN or top > _SCALE_MAX:
+        # outside syevd's safe range squares over- or underflow (divergent
+        # paper-mode iterates pass 1e150): rescale by a power of two, which
+        # is exact, to just inside it; scaling further would turn the small
+        # entries subnormal, and subnormal arithmetic is slow
+        edge = 4.0 * _SCALE_MIN if top < _SCALE_MIN else _SCALE_MAX / 4.0
+        scale = math.ldexp(1.0, math.frexp(edge)[1] - math.frexp(top)[1])
+        X, kept = _svt_symmetric(M * scale, phi * scale)
+        X /= scale
+        return X, kept
+    c, d, e, tau, info = lapack.dsytrd(M, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
+    _lapack_ok(info, "dsytrd", n)
+    radius, off = np.abs(d), np.abs(e)
+    radius[1:] += off
+    radius[:-1] += off
+    bound = float(radius.max())  # Gershgorin: every eigenvalue lies in [-bound, bound]
+    if phi >= bound:
+        return np.zeros((n, n)), 0
+    if n == 1:  # the tridiagonal wrappers reject an empty off-diagonal
+        return np.array([[d[0] - math.copysign(phi, d[0])]]), 1
+    kept = n
+    if phi > 0:
+        # a tolerance wider than the interval stops the bisection at the count
+        inside, *_, info = lapack.dstebz(d, e, 1, -phi, phi, 0, 0, 4.0 * bound, "B")
+        _lapack_ok(info, "dstebz", n)
+        kept = n - inside
+    if kept == 0:
+        return np.zeros((n, n)), 0
+    pairs = _tail_pairs(d, e, phi, bound) if 5 * kept <= n else None
+    if pairs is None:
+        *pairs, info = lapack.dstevd(d, e)
+        _lapack_ok(info, "dstevd", n)
+    w, Z = pairs
+    Z = _apply_q(c, tau, Z)
     s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
-    return (V * s) @ V.T
+    return (Z * s) @ Z.T, int(np.count_nonzero(s))
 
 
-def project_sum(Wt: np.ndarray, target: float) -> np.ndarray:
+def _tail_pairs(d: np.ndarray, e: np.ndarray, phi: float, bound: float):
+    """Eigenpairs (w, Z) of the tridiagonal (d, e) whose eigenvalues lie
+    outside [-phi, phi], or None when there are none or inverse iteration
+    does not converge."""
+    n = d.size
+    tails = []
+    for lo, hi in ((-2.0 * bound, -phi), (phi, 2.0 * bound)):
+        # range 1 is "V": the eigenvalues in (lo, hi]
+        m, w, iblock, isplit, info = lapack.dstebz(d, e, 1, lo, hi, 0, 0, 0.0, "B")
+        _lapack_ok(info, "dstebz", n)
+        tails.append((w[:m], iblock[:m]))
+    w, blocks = (np.concatenate(parts) for parts in zip(*tails))
+    if not w.size:
+        return None
+    # dstein takes the eigenvalues grouped by split block, ascending in each
+    order = np.lexsort((w, blocks))
+    w = w[order]
+    iblock[: w.size] = blocks[order]
+    Z, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info > 0:
+        return None
+    _lapack_ok(info, "dstein", n)
+    return w, Z
+
+
+def _apply_q(c: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Q Z for the Q = diag(1, Q1) that dsytrd(lower=1) left in (c, tau).
+
+    Q1 is the product of the reflectors stored below the subdiagonal, in the
+    layout dormqr reads from c[1:, :-1]; this is what dormtr, which scipy
+    does not wrap, does for UPLO='L'.  dormqr applies Q1' from the right to
+    the rows 1: of (Q Z)' = Z' Q', which in a C-ordered copy of Z are one
+    Fortran block, so it works in place there."""
+    reflectors = np.asfortranarray(c[1:, :-1])
+    QZ = np.ascontiguousarray(Z)
+    # dormqr's optimal workspace: blocks of at most 64 reflectors, and their
+    # 65x64 triangular factor
+    lwork = 64 * Z.shape[1] + 65 * 64
+    *_, info = lapack.dormqr("R", "T", reflectors, tau, QZ.T[:, 1:], lwork, overwrite_c=1)
+    _lapack_ok(info, "dormqr", c.shape[0])
+    return QZ
+
+
+def project_sum(Wt: np.ndarray, target: float, out: np.ndarray | None = None) -> np.ndarray:
     """Shift by a constant so the entries sum to target (projection onto the
-    sum constraint)."""
+    sum constraint).  out may be Wt itself."""
     Wt = np.asarray(Wt, dtype=float)
     beta = (target - Wt.sum()) / Wt.size
-    return Wt + beta
+    return np.add(Wt, beta, out=out)
 
 
-def clamp_box(M: np.ndarray) -> np.ndarray:
-    """Entrywise clamp to [0, 1]."""
-    return np.clip(np.asarray(M, dtype=float), 0.0, 1.0)
+def clamp_box(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise clamp to [0, 1].  out may be M itself."""
+    return np.clip(np.asarray(M, dtype=float), 0.0, 1.0, out=out)
 
 
 def _nuclear_norm(X: np.ndarray, symmetric: bool) -> float:
@@ -216,8 +335,9 @@ def _admm(
     shape = nonedge.shape
     size = nonedge.size
     keep = ~nonedge  # support of Q: edges (plus the diagonal in the square case)
-    shrink = _svt_symmetric if symmetric else svt
+    shrink = _svt_symmetric if symmetric else _svt
     tau = cfg.tau
+    norm = np.linalg.norm
 
     X = np.full(shape, sum_target / size)
     W = X.copy()
@@ -227,8 +347,12 @@ def _admm(
     LQ = np.zeros(shape)
     LW = np.zeros(shape)
     LZ = np.zeros(shape)
+    if cfg.mode == "derived":
+        # the next W, Z and LQ, and two temporaries, reused by every sweep
+        Wn, Zn, LQn, C, T = (np.empty(shape) for _ in range(5))
 
     history = []
+    ranks = []
     converged = False
     rp = rd = math.inf
     iterations = 0
@@ -245,39 +369,62 @@ def _admm(
                     Xt = Q + 2.0 * X - Z - W - LW
                     if not np.isfinite(Xt).all():
                         break
-                    Xn = shrink(Xt, tau)
+                    Xn, rank = shrink(Xt, tau)
                     Yn = soft_threshold(Y - tau * Q, tau * gamma)
                     Wn = project_sum(Xn - LW, sum_target)
                     Zn = clamp_box(Xn - LZ)
                     LQn = np.where(keep, LQ - (Xn + Yn), 0.0)
                     LWn = LW - (Xn - Wn)
                     LZn = LZ - (Xn - Zn)
-                    dual_step = LQn - LQ
+                    rp = max(
+                        float(norm(Xn - Wn)),
+                        float(norm(Xn - Zn)),
+                        float(norm(Xn + Yn - Q)),
+                    )
+                    rd = max(
+                        float(norm(Wn - W)),
+                        float(norm(Zn - Z)),
+                        float(norm(LQn - LQ)),
+                    )
+                    X, Y, W, Z, LQ, LW, LZ = Xn, Yn, Wn, Zn, LQn, LWn, LZn
                 else:
-                    Q = np.where(keep, X + Y + LQ, 0.0)
-                    C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3.0
+                    # Q = X + Y + LQ on its support
+                    np.add(X, Y, out=Q)
+                    Q += LQ
+                    np.copyto(Q, 0.0, where=nonedge)
+                    # C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3
+                    np.subtract(Q, Y, out=C)
+                    C -= LQ
+                    C += np.subtract(W, LW, out=T)
+                    C += np.subtract(Z, LZ, out=T)
+                    C /= 3.0
                     if not np.isfinite(C).all():
                         break
-                    Xn = shrink(C, 1.0 / (3.0 * tau))
-                    Yn = soft_threshold(Q - Xn - LQ, gamma / tau)
-                    Wn = project_sum(Xn + LW, sum_target)
-                    Zn = clamp_box(Xn + LZ)
-                    LQn = LQ + (Xn + Yn - Q)
-                    LWn = LW + (Xn - Wn)
-                    LZn = LZ + (Xn - Zn)
-                    dual_step = tau * (LQn - LQ)  # report the unscaled multiplier change
-                rp = max(
-                    float(np.linalg.norm(Xn - Wn)),
-                    float(np.linalg.norm(Xn - Zn)),
-                    float(np.linalg.norm(Xn + Yn - Q)),
-                )
-                rd = max(
-                    float(np.linalg.norm(Wn - W)),
-                    float(np.linalg.norm(Zn - Z)),
-                    float(np.linalg.norm(dual_step)),
-                )
-                X, Y, W, Z, LQ, LW, LZ = Xn, Yn, Wn, Zn, LQn, LWn, LZn
+                    X, rank = shrink(C, 1.0 / (3.0 * tau))
+                    np.subtract(Q, X, out=T)
+                    T -= LQ
+                    soft_threshold(T, gamma / tau, out=Y)
+                    project_sum(np.add(X, LW, out=Wn), sum_target, out=Wn)
+                    clamp_box(np.add(X, LZ, out=Zn), out=Zn)
+                    # each primal residual is also its scaled dual's step
+                    r_w = float(norm(np.subtract(X, Wn, out=T)))
+                    LW += T
+                    r_z = float(norm(np.subtract(X, Zn, out=T)))
+                    LZ += T
+                    np.add(X, Y, out=T)
+                    T -= Q
+                    rp = max(r_w, r_z, float(norm(T)))
+                    np.add(LQ, T, out=LQn)
+                    d_w = float(norm(np.subtract(Wn, W, out=T)))
+                    d_z = float(norm(np.subtract(Zn, Z, out=T)))
+                    np.subtract(LQn, LQ, out=T)
+                    T *= tau  # report the unscaled multiplier change
+                    rd = max(d_w, d_z, float(norm(T)))
+                    W, Wn = Wn, W
+                    Z, Zn = Zn, Z
+                    LQ, LQn = LQn, LQ
                 history.append((rp, rd))
+                ranks.append(rank)
                 iterations = it + 1
                 if max(rp, rd) < cfg.tol:
                     converged = True
@@ -296,6 +443,7 @@ def _admm(
         dual_residual=float(rd),
         objective=objective,
         residual_history=np.array(history) if history else np.zeros((0, 2)),
+        svt_rank=np.array(ranks, dtype=int),
         blas_threads=blas_threads,
     )
 

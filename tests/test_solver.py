@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from dksub import solver
 from dksub.graphs import (
     BipartiteGraph,
     Graph,
@@ -87,6 +89,38 @@ class TestSolveDks:
         assert np.array_equal(a.residual_history, b.residual_history)
         assert a.iterations >= 1
 
+    def test_svt_rank_is_one_at_convergence(self):
+        inst = sample_dks(PlantedDksParams(n=50, k=20, p=0.0, q=0.0, seed=4))
+        result = solve_dks(inst.graph, 20)
+        assert result.converged
+        assert result.svt_rank.dtype.kind == "i"
+        assert result.svt_rank.shape == (len(result.residual_history),)
+        assert result.svt_rank[-1] == 1
+
+    def test_partial_eigensolve_follows_the_full_one(self, monkeypatch):
+        # the whole solve with the SVT taken from a full eigh, as it was
+        # computed before the partial eigensolve
+        def svt_full_eigh(M, phi):
+            w, V = scipy.linalg.eigh(M, driver="evd", check_finite=False)
+            s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
+            return (V * s) @ V.T, int(np.count_nonzero(s))
+
+        inst = sample_dks(PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4))
+        partial = solve_dks(inst.graph, 100)
+        monkeypatch.setattr(solver, "_svt_symmetric", svt_full_eigh)
+        full = solve_dks(inst.graph, 100)
+        assert partial.converged and full.converged
+        assert partial.iterations == full.iterations
+        assert np.abs(partial.X - full.X).max() <= 1e-9
+        assert np.array_equal(partial.svt_rank, full.svt_rank)
+
+    def test_single_node(self):
+        result = solve_dks(Graph.complete(1), 1)
+        assert result.converged
+        assert result.X.shape == (1, 1)
+        assert result.X[0, 0] == pytest.approx(1.0, abs=1e-4)
+        assert result.svt_rank[-1] == 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gamma=-1.0)
@@ -102,6 +136,13 @@ class TestSolveDkb:
         result = solve_dkb(inst.graph, 15, 15)
         assert result.converged
         assert relative_error(result.X, (inst.planted_u, inst.planted_v)) < 1e-3
+
+    def test_svt_rank_is_one_at_convergence(self):
+        inst = sample_dkb(PlantedDkbParams(n1=40, n2=40, k1=15, k2=15, p=0.0, q=0.0, seed=0))
+        result = solve_dkb(inst.graph, 15, 15)
+        assert result.converged
+        assert result.svt_rank.shape == (len(result.residual_history),)
+        assert result.svt_rank[-1] == 1
 
     def test_complete_bipartite_objective(self):
         g = BipartiteGraph(12, 10, np.ones((12, 10), dtype=bool))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from dksub.solver import (
+    NumericalError,
     _svt_symmetric,
     clamp_box,
     default_gamma,
@@ -61,7 +65,7 @@ class TestSvt:
             A = rng.standard_normal((8, 8))
             A = A + A.T
             phi = float(rng.random() * 3)
-            assert np.allclose(_svt_symmetric(A, phi), svt(A, phi), atol=1e-10)
+            assert np.allclose(_svt_symmetric(A, phi)[0], svt(A, phi), atol=1e-10)
 
     def test_prox_optimality_against_perturbations(self):
         # svt(M, phi) minimizes ||Z||_* + (1/(2 phi)) ||Z - M||_F^2.
@@ -80,6 +84,133 @@ class TestSvt:
             step = 10.0 ** rng.uniform(-4, 0)
             cand = Zstar + step * rng.standard_normal((6, 6))
             assert objective(cand) >= base - 1e-12
+
+
+SIZES = (1, 2, 3, 14, 60)
+
+
+def symmetric_with_spectrum(w, seed):
+    """Q diag(w) Q' for a random orthogonal Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((w.size, w.size)))
+    M = (Q * w) @ Q.T
+    return (M + M.T) / 2
+
+
+@st.composite
+def spectra(draw):
+    """Eigenvalues of both signs, some of them repeated."""
+    n = draw(st.sampled_from(SIZES))
+    levels = draw(st.lists(st.floats(-10, 10), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    # about a third of the eigenvalues sit on a few repeated levels
+    w = np.where(np.arange(n) % 3 == 0, np.array(levels)[picks], 3 * noise)
+    return w, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSvtSymmetric:
+    @settings(max_examples=200, deadline=None)
+    @given(spectra(), st.floats(0.0, 1.2))
+    def test_matches_general_svt(self, spectrum, frac):
+        w, seed = spectrum
+        M = symmetric_with_spectrum(w, seed)
+        # phi from 0 to past the spectral radius
+        phi = frac * float(np.abs(w).max())
+        X, kept = _svt_symmetric(M, phi)
+        assert np.allclose(X, svt(M, phi), rtol=0.0, atol=1e-10)
+        # the kept count, away from ties at the threshold
+        assume(np.abs(np.abs(w) - phi).min() > 1e-8)
+        assert kept == int((np.abs(w) > phi).sum())
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_repeated_eigenvalues_beyond_phi(self, n):
+        w = np.where(np.arange(n) < n // 2, 4.0, -4.0)
+        w[::7] = 0.5
+        M = symmetric_with_spectrum(w, n)
+        X, kept = _svt_symmetric(M, 1.0)
+        assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
+        assert kept == int((np.abs(w) > 1.0).sum())
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_empty_kept_set_is_exact_zeros_and_silent(self, n, capfd):
+        M = symmetric_with_spectrum(np.linspace(-2.0, 2.0, n), n)
+        radius = float(np.abs(np.linalg.eigvalsh(M)).max())
+        # just past the spectral radius (inside the Gershgorin bound), and
+        # far past any bound
+        for phi in (radius * (1 + 1e-9), 1e9):
+            X, kept = _svt_symmetric(M, phi)
+            assert kept == 0
+            assert np.array_equal(X, np.zeros((n, n)))
+        assert np.array_equal(_svt_symmetric(np.zeros((n, n)), 0.0)[0], np.zeros((n, n)))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, n, bad):
+        M = np.eye(n)
+        M[n - 1, 0] = M[0, n - 1] = bad
+        with pytest.raises(NumericalError):
+            _svt_symmetric(M, 0.5)
+
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_extreme_scales(self, size):
+        w = np.array([5.0, -3.0, 0.2, 0.1, -0.4, 2.5])
+        M = symmetric_with_spectrum(w, 0)
+        X, kept = _svt_symmetric(M * size, 0.3 * size)
+        assert kept == 4
+        assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
+
+    def spy(self, monkeypatch, name):
+        calls = []
+        original = getattr(lapack, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, recorded)
+        return calls
+
+    def test_few_kept_pairs_take_inverse_iteration(self, monkeypatch):
+        w = np.concatenate([[6.0, -5.0], np.linspace(-0.5, 0.5, 58)])
+        M = symmetric_with_spectrum(w, 1)
+        full, partial = self.spy(monkeypatch, "dstevd"), self.spy(monkeypatch, "dstein")
+        X, kept = _svt_symmetric(M, 1.0)
+        assert (kept, full, partial) == (2, [], ["dstein"])
+        assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [5, 14, 60])
+    def test_full_rank_input_takes_the_full_decomposition(self, monkeypatch, n):
+        M = symmetric_with_spectrum(np.linspace(1.0, 2.0, n) * (-1) ** np.arange(n), n)
+        full, partial = self.spy(monkeypatch, "dstevd"), self.spy(monkeypatch, "dstein")
+        X, kept = _svt_symmetric(M, 0.5)
+        assert (kept, full, partial) == (n, ["dstevd"], [])
+        assert np.allclose(X, svt(M, 0.5), rtol=0.0, atol=1e-10)
+
+    def test_inverse_iteration_failure_falls_back(self, monkeypatch):
+        M = symmetric_with_spectrum(np.concatenate([[6.0], np.zeros(13)]), 2)
+        monkeypatch.setattr(lapack, "dstein", lambda d, e, w, *a: (np.zeros((d.size, w.size)), 1))
+        full = self.spy(monkeypatch, "dstevd")
+        X, kept = _svt_symmetric(M, 1.0)
+        assert (kept, full) == (1, ["dstevd"])
+        assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "routine,kept",
+        [("dsytrd", 2), ("dstebz", 2), ("dstein", 2), ("dormqr", 2), ("dstevd", 14), ("dormqr", 14)],
+    )
+    def test_lapack_error_raises(self, monkeypatch, routine, kept):
+        original = getattr(lapack, routine)
+
+        def failing(*args, **kwargs):
+            return (*original(*args, **kwargs)[:-1], -3)
+
+        monkeypatch.setattr(lapack, routine, failing)
+        # two kept pairs of 14 take inverse iteration, fourteen the full
+        # decomposition
+        w = np.where(np.arange(14) < kept, 6.0, 0.0) * (-1) ** np.arange(14)
+        with pytest.raises(NumericalError, match=routine):
+            _svt_symmetric(symmetric_with_spectrum(w, 3), 1.0)
 
 
 class TestProjectSum:
@@ -107,6 +238,24 @@ class TestProjectSum:
             assert np.linalg.norm(project_sum(A, t) - project_sum(B, t)) <= np.linalg.norm(
                 A - B
             ) * (1 + 1e-12)
+
+
+class TestOutArguments:
+    """The buffer forms used by the ADMM loop give the allocating forms'
+    values exactly."""
+
+    def test_soft_threshold_out(self):
+        x = np.random.default_rng(9).standard_normal((8, 8)) * 3
+        out = np.full_like(x, np.nan)
+        assert soft_threshold(x, 0.7, out=out) is out
+        assert np.array_equal(out, np.sign(x) * np.maximum(np.abs(x) - 0.7, 0.0))
+
+    def test_project_sum_and_clamp_box_in_place(self):
+        A = np.random.default_rng(10).standard_normal((8, 8)) * 2
+        expected_sum, expected_box = project_sum(A, 3.0), clamp_box(A)
+        B, C = A.copy(), A.copy()
+        assert project_sum(B, 3.0, out=B) is B and np.array_equal(B, expected_sum)
+        assert clamp_box(C, out=C) is C and np.array_equal(C, expected_box)
 
 
 class TestClampBox:
