@@ -21,7 +21,6 @@ from .graphs import (
 from .models import (
     AdversarialInstanceParams,
     AdversarialParams,
-    BipartiteAdversarialParams,
     BipartitePlantedInstance,
     BudgetError,
     DegreeProfile,

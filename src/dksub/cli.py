@@ -17,7 +17,6 @@ import numpy as np
 
 from . import experiments, io, models, oracle, solver
 from .certificate import build_multipliers, verify
-from .graphs import NodeSubset
 from .solver import NumericalError, SolverConfig
 
 
@@ -102,7 +101,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("--k1 and --k2 are required for a bipartite graph")
         g = io.read_bipartite(args.graph)
         result = solver.solve_dkb(g, args.k1, args.k2, cfg)
-        su, sv = _round_bipartite(result.X, args.k1, args.k2)
+        su, sv = solver.round_to_subset(result.X, (args.k1, args.k2))
         payload["recovered_subset"] = {"u": list(su.members), "v": list(sv.members)}
         if truth_file:
             truth = io.read_ground_truth(truth_file)
@@ -119,19 +118,6 @@ def _cmd_solve(args) -> int:
     )
     _json_out(payload, args.out)
     return 0
-
-
-def _round_bipartite(X: np.ndarray, k1: int, k2: int) -> tuple[NodeSubset, NodeSubset]:
-    U, _, Vt = np.linalg.svd(X)
-    u, v = U[:, 0], Vt[0]
-    if u.sum() < 0:
-        u, v = -u, -v
-    su = np.argsort(-u, kind="stable")[:k1]
-    sv = np.argsort(-v, kind="stable")[:k2]
-    return (
-        NodeSubset(tuple(int(i) for i in su), X.shape[0]),
-        NodeSubset(tuple(int(i) for i in sv), X.shape[1]),
-    )
 
 
 def _pq_from_params(params: dict) -> tuple[float, float] | None:

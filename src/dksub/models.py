@@ -98,23 +98,6 @@ class AdversarialParams:
 
 
 @dataclass(frozen=True)
-class BipartiteAdversarialParams:
-    r: int
-    s: int
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
-
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValueError("r and s must be nonnegative")
-        for v in (self.alpha1, self.alpha2, self.beta1, self.beta2):
-            if not 0.0 <= v < 1.0:
-                raise ValueError("fractions must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
 class AdversarialInstanceParams:
     """Parameter record of a corrupted instance: the clean base model plus
     the corruption budget and its seed."""

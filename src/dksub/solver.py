@@ -137,6 +137,11 @@ def _svt(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
 # syevd's safe range for the entries of the matrix it decomposes
 _SCALE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _SCALE_MAX = 1.0 / _SCALE_MIN
+# below this order one dsyevd call beats the reduction pipeline of
+# _eigenpairs_outside: per call on real iterates it was faster at n=14 and
+# 20, level at 28-40 and slower at 60
+_SMALL_ORDER = 32
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def _lapack_ok(info: int, routine: str, n: int) -> None:
@@ -144,15 +149,96 @@ def _lapack_ok(info: int, routine: str, n: int) -> None:
         raise NumericalError(f"{routine} failed on a {n}x{n} matrix (info={info})")
 
 
+def _finite_top(M: np.ndarray) -> float:
+    """The largest absolute entry of M; NumericalError if any is not finite."""
+    top = max(float(M.max()), -float(M.min()))  # both are NaN if any entry is
+    if not math.isfinite(top):
+        raise NumericalError(f"non-finite entries in a {M.shape[0]}x{M.shape[1]} matrix")
+    return top
+
+
+def _power_of_two_scale(top: float, lo: float, hi: float) -> float:
+    """1.0 when top is 0 or lies in [lo, hi], else the power of two that
+    brings it to just inside.  Scaling by a power of two is exact; scaling
+    further than needed would turn the small entries subnormal, and
+    subnormal arithmetic is slow."""
+    if top == 0.0 or lo <= top <= hi:
+        return 1.0
+    edge = 4.0 * lo if top < lo else hi / 4.0
+    return math.ldexp(1.0, math.frexp(edge)[1] - math.frexp(top)[1])
+
+
 def _svt_symmetric(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
     """svt() specialized to symmetric input, and the number of eigenvalues it
-    kept.  Only the lower triangle enters the decomposition.
+    kept: the eigenpairs outside [-phi, phi], each eigenvalue shrunk toward
+    zero by phi.  Only the lower triangle is read."""
+    if phi < 0:
+        raise ValueError("threshold must be nonnegative")
+    w, Z = _eigenpairs_outside(np.asarray(M, dtype=float), phi)
+    s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
+    return (Z * s) @ Z.T, int(np.count_nonzero(s))
 
-    One Householder reduction M = Q T Q' (dsytrd) serves both tails of the
-    spectrum: a Sturm count on T gives the number of eigenvalues outside
-    [-phi, phi], bisection (dstebz) finds them, inverse iteration (dstein)
-    gives their vectors, and only those vectors are carried back through Q.
-    This is LAPACK's syevx pipeline with the O(n^3) reduction done once.
+
+def _svt_gram(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
+    """svt() through the Gram matrix, and the number of singular values it
+    kept.
+
+    With G = M'M over the smaller side of M, the singular values of M above
+    phi are the square roots of the eigenvalues w of G above phi^2, and with
+    their eigenvectors V, svt(M, phi) = ((M V) diag(1 - phi/sqrt(w))) V'.
+    _eigenpairs_outside finds them; G is positive semidefinite, so its
+    search of the lower tail, below -phi^2, ends at an empty Sturm count.
+    M is first scaled by a power of two so that G can neither overflow nor
+    underflow.
+
+    Accuracy rule: rounding G perturbs it by about eps ||M||^2, which the
+    shrink factor's slope near phi^2 turns into an error of about
+    eps ||M||^2 / phi in X, against gesdd's eps ||M||.  The Gram route is
+    therefore taken only while phi^2 > sqrt(eps) ||M||_F^2, which bounds
+    that error by about eps^(3/4) ||M|| (3.4e-13 ||M|| at most in a random
+    search at the line).  The line lies far above G's eigenvalue error
+    (m + n) eps ||M||_F^2, below which G cannot even tell which singular
+    values pass phi; a line at that error alone let the error reach
+    1.1e-9 ||M||.  At or below the line, phi = 0 included, the SVT is the
+    exact svt() (gesdd on M).  The ADMM's phi = 1/(3 tau) is far above it.
+    """
+    if phi < 0:
+        raise ValueError("threshold must be nonnegative")
+    M = np.asarray(M, dtype=float)
+    if M.shape[0] < M.shape[1]:
+        X, kept = _svt_gram(M.T, phi)
+        return X.T, kept
+    m, n = M.shape
+    # entries in [sqrt(min), sqrt(max/m)] put G's entries in syevd's safe range
+    scale = _power_of_two_scale(_finite_top(M), math.sqrt(_SCALE_MIN), math.sqrt(_SCALE_MAX / m))
+    Ms = M * scale if scale != 1.0 else M
+    G = Ms.T @ Ms
+    cut = (phi * scale) * (phi * scale)
+    trace = float(np.trace(G))  # ||M||_F^2, at least the largest eigenvalue
+    if cut >= trace:
+        return np.zeros((m, n)), 0
+    if cut <= _SQRT_EPS * trace:
+        return _svt(M, phi)
+    w, V = _eigenpairs_outside(G, cut)
+    kept = w > cut
+    w, V = w[kept], V[:, kept]
+    X = ((Ms @ V) * (1.0 - (phi * scale) / np.sqrt(w))) @ V.T
+    if scale != 1.0:
+        X /= scale
+    return X, int(w.size)
+
+
+def _eigenpairs_outside(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, Z) of the symmetric matrix M, lower triangle read, that
+    include every eigenvalue outside [-phi, phi].  The paths that decompose
+    M fully return all n pairs, the others only those outside.
+
+    Below order 32 this is one dsyevd call.  Otherwise one Householder
+    reduction M = Q T Q' (dsytrd) serves both tails of the spectrum: a Sturm
+    count on T gives the number of eigenvalues outside [-phi, phi], bisection
+    (dstebz) finds them, inverse iteration (dstein) gives their vectors, and
+    only those vectors are carried back through Q.  This is LAPACK's syevx
+    pipeline with the O(n^3) reduction done once.
 
     When more than n/5 eigenpairs are kept, it is cheaper to finish the full
     decomposition from the same reduction by divide and conquer (dstevd, then
@@ -161,23 +247,17 @@ def _svt_symmetric(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
     paper mode keeps nearly all of them.  The full path also takes over when
     inverse iteration fails to converge.
     """
-    if phi < 0:
-        raise ValueError("threshold must be nonnegative")
-    M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    top = max(float(M.max()), -float(M.min()))  # both are NaN if any entry is
-    if not math.isfinite(top):
-        raise NumericalError(f"non-finite entries in a {n}x{n} matrix")
-    if 0.0 < top < _SCALE_MIN or top > _SCALE_MAX:
+    scale = _power_of_two_scale(_finite_top(M), _SCALE_MIN, _SCALE_MAX)
+    if scale != 1.0:
         # outside syevd's safe range squares over- or underflow (divergent
-        # paper-mode iterates pass 1e150): rescale by a power of two, which
-        # is exact, to just inside it; scaling further would turn the small
-        # entries subnormal, and subnormal arithmetic is slow
-        edge = 4.0 * _SCALE_MIN if top < _SCALE_MIN else _SCALE_MAX / 4.0
-        scale = math.ldexp(1.0, math.frexp(edge)[1] - math.frexp(top)[1])
-        X, kept = _svt_symmetric(M * scale, phi * scale)
-        X /= scale
-        return X, kept
+        # paper-mode iterates pass 1e150)
+        w, Z = _eigenpairs_outside(M * scale, phi * scale)
+        return w / scale, Z
+    if n < _SMALL_ORDER:
+        *pairs, info = lapack.dsyevd(M, lower=1)
+        _lapack_ok(info, "dsyevd", n)
+        return tuple(pairs)
     c, d, e, tau, info = lapack.dsytrd(M, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
     _lapack_ok(info, "dsytrd", n)
     radius, off = np.abs(d), np.abs(e)
@@ -185,9 +265,7 @@ def _svt_symmetric(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
     radius[:-1] += off
     bound = float(radius.max())  # Gershgorin: every eigenvalue lies in [-bound, bound]
     if phi >= bound:
-        return np.zeros((n, n)), 0
-    if n == 1:  # the tridiagonal wrappers reject an empty off-diagonal
-        return np.array([[d[0] - math.copysign(phi, d[0])]]), 1
+        return np.zeros(0), np.zeros((n, 0))
     kept = n
     if phi > 0:
         # a tolerance wider than the interval stops the bisection at the count
@@ -195,15 +273,13 @@ def _svt_symmetric(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
         _lapack_ok(info, "dstebz", n)
         kept = n - inside
     if kept == 0:
-        return np.zeros((n, n)), 0
+        return np.zeros(0), np.zeros((n, 0))
     pairs = _tail_pairs(d, e, phi, bound) if 5 * kept <= n else None
     if pairs is None:
         *pairs, info = lapack.dstevd(d, e)
         _lapack_ok(info, "dstevd", n)
     w, Z = pairs
-    Z = _apply_q(c, tau, Z)
-    s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
-    return (Z * s) @ Z.T, int(np.count_nonzero(s))
+    return w, _apply_q(c, tau, Z)
 
 
 def _tail_pairs(d: np.ndarray, e: np.ndarray, phi: float, bound: float):
@@ -335,7 +411,7 @@ def _admm(
     shape = nonedge.shape
     size = nonedge.size
     keep = ~nonedge  # support of Q: edges (plus the diagonal in the square case)
-    shrink = _svt_symmetric if symmetric else _svt
+    shrink = _svt_symmetric if symmetric else _svt_gram
     tau = cfg.tau
     norm = np.linalg.norm
 
@@ -493,21 +569,34 @@ def recovery_check(X: np.ndarray, planted, tol: float = 1e-3) -> bool:
     return relative_error(X, planted) < tol
 
 
-def round_to_subset(X: np.ndarray, k: int) -> NodeSubset:
+def round_to_subset(
+    X: np.ndarray, k: int | tuple[int, int]
+) -> NodeSubset | tuple[NodeSubset, NodeSubset]:
     """Indices of the k largest entries of the dominant singular vector of X,
-    ties broken toward lower indices."""
+    ties broken toward lower indices.
+
+    k is an int for a square X, or a (k1, k2) pair for the bipartite
+    problem, which rounds the left and right singular vectors of a
+    rectangular X and returns a (NodeSubset, NodeSubset) pair.  The pair of
+    vectors is flipped together so that the left one sums to >= 0.
+    """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if X.shape != (n, n):
-        raise ValueError("round_to_subset expects a square matrix")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    pair = isinstance(k, tuple)
+    if X.ndim != 2 or not (pair or X.shape[0] == X.shape[1]):
+        raise ValueError("round_to_subset expects a square matrix, or a (k1, k2) pair")
+    sizes = k if pair else (k, k)
+    for size, n in zip(sizes, X.shape, strict=True):
+        if not 1 <= size <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={size}, n={n}")
     try:
-        U, _, _ = np.linalg.svd(X)
+        U, _, Vt = np.linalg.svd(X)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed on a {n}x{n} matrix") from exc
-    lead = U[:, 0]
-    if lead.sum() < 0:
-        lead = -lead
-    order = np.argsort(-lead, kind="stable")
-    return NodeSubset(tuple(int(i) for i in order[:k]), n)
+        raise NumericalError(f"SVD failed on a {X.shape[0]}x{X.shape[1]} matrix") from exc
+    lead = U[:, 0], Vt[0]
+    if lead[0].sum() < 0:
+        lead = -lead[0], -lead[1]
+    subsets = tuple(
+        NodeSubset(tuple(int(i) for i in np.argsort(-vec, kind="stable")[:size]), vec.size)
+        for vec, size in zip(lead, sizes)
+    )
+    return subsets if pair else subsets[0]

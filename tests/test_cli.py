@@ -87,6 +87,33 @@ class TestSolve:
         assert payload["X_relative_error_vs_ground_truth"] < 1e-3
         assert sorted(payload["recovered_subset"]) == ["u", "v"]
 
+    @pytest.mark.parametrize(
+        "n1,n2,k1,k2,u,v",
+        [
+            (20, 12, 8, 5, [0, 2, 5, 8, 11, 14, 15, 17], [5, 6, 8, 10, 11]),
+            # not the planted v (5 6 8 9 10 13 16 18): noise moves one node
+            (12, 20, 5, 8, [1, 2, 8, 9, 11], [5, 8, 9, 10, 11, 13, 16, 18]),
+        ],
+    )
+    def test_solve_bipartite_json(self, tmp_path, n1, n2, k1, k2, u, v):
+        # unequal sides, tall and wide, with noise: pinned payload keys and
+        # rounded subsets
+        graph_file = tmp_path / "b.txt"
+        run(
+            ["generate", "--model", "dkb", "--n1", n1, "--n2", n2, "--k1", k1, "--k2", k2,
+             "--p", 0.1, "--q", 0.3, "--seed", 4, "--out", graph_file]
+        )
+        result_file = tmp_path / "result.json"
+        assert run(
+            ["solve", "--graph", graph_file, "--k1", k1, "--k2", k2, "--out", result_file]
+        ) == 0
+        payload = json.loads(result_file.read_text(encoding="utf-8"))
+        assert sorted(payload) == [
+            "X_relative_error_vs_ground_truth", "converged", "dual_residual",
+            "iterations", "objective", "primal_residual", "recovered_subset",
+        ]
+        assert payload["recovered_subset"] == {"u": u, "v": v}
+
     def test_missing_k_is_bad_input(self, tmp_path):
         out = generate_dks(tmp_path)
         assert run(["solve", "--graph", out]) == 2

@@ -144,6 +144,25 @@ class TestSolveDkb:
         assert result.svt_rank.shape == (len(result.residual_history),)
         assert result.svt_rank[-1] == 1
 
+    def test_gram_svt_follows_the_exact_one(self, monkeypatch):
+        # a criterion-8 instance, solved again with gesdd's SVT in the loop
+        inst = sample_dkb(PlantedDkbParams(n1=200, n2=200, k1=60, k2=60, p=0.05, q=0.25, seed=0))
+        cfg = SolverConfig(gamma=6 / 60)
+        gram = solve_dkb(inst.graph, 60, 60, cfg)
+        monkeypatch.setattr(solver, "_svt_gram", solver._svt)
+        exact = solve_dkb(inst.graph, 60, 60, cfg)
+        assert gram.converged and exact.converged
+        assert gram.iterations == exact.iterations
+        assert np.array_equal(gram.svt_rank, exact.svt_rank)
+        assert np.abs(gram.X - exact.X).max() <= 1e-9
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 5), (5, 1)])
+    def test_single_row_or_column(self, n1, n2):
+        result = solve_dkb(BipartiteGraph(n1, n2, np.ones((n1, n2), dtype=bool)), n1, n2)
+        assert result.converged
+        assert result.X.shape == (n1, n2)
+        assert np.allclose(result.X, 1.0, rtol=0.0, atol=1e-4)
+
     def test_complete_bipartite_objective(self):
         g = BipartiteGraph(12, 10, np.ones((12, 10), dtype=bool))
         cfg = SolverConfig(gamma=6 / 6)
@@ -215,6 +234,20 @@ class TestRoundToSubset:
             round_to_subset(np.zeros((3, 4)), 2)
         with pytest.raises(ValueError):
             round_to_subset(np.zeros((3, 3)), 0)
+        for k in ((0, 2), (2, 5), (1, 1, 1)):
+            with pytest.raises(ValueError):
+                round_to_subset(np.zeros((3, 4)), k)
+
+    def test_rectangular_pair(self):
+        su, sv = NodeSubset((1, 4), 6), NodeSubset((0, 2, 3), 5)
+        X = np.outer(su.indicator(), sv.indicator())
+        assert round_to_subset(X, (2, 3)) == (su, sv)
+        assert round_to_subset(X.T, (3, 2)) == (sv, su)
+
+    def test_pair_matches_the_square_rounding(self):
+        X = np.random.default_rng(11).random((9, 9))
+        X = X + X.T
+        assert round_to_subset(X, (4, 4)) == (round_to_subset(X, 4),) * 2
 
 
 class TestObjectiveDominance:

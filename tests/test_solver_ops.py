@@ -4,8 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
+from dksub import solver
 from dksub.solver import (
     NumericalError,
+    _svt_gram,
     _svt_symmetric,
     clamp_box,
     default_gamma,
@@ -86,7 +88,8 @@ class TestSvt:
             assert objective(cand) >= base - 1e-12
 
 
-SIZES = (1, 2, 3, 14, 60)
+# below order 32 the SVT is one dsyevd call, from 32 on the reduction pipeline
+SIZES = (1, 2, 3, 14, 40, 60)
 
 
 def symmetric_with_spectrum(w, seed):
@@ -106,6 +109,29 @@ def spectra(draw):
     # about a third of the eigenvalues sit on a few repeated levels
     w = np.where(np.arange(n) % 3 == 0, np.array(levels)[picks], 3 * noise)
     return w, draw(st.integers(0, 2**32 - 1))
+
+
+def spy(monkeypatch, name):
+    """Record the calls of lapack.<name>, which still runs."""
+    calls = []
+    original = getattr(lapack, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, name, recorded)
+    return calls
+
+
+def fail_with_info(monkeypatch, routine):
+    """Make lapack.<routine> return its results with info = -3."""
+    original = getattr(lapack, routine)
+
+    def failing(*args, **kwargs):
+        return (*original(*args, **kwargs)[:-1], -3)
+
+    monkeypatch.setattr(lapack, routine, failing)
 
 
 class TestSvtSymmetric:
@@ -130,6 +156,13 @@ class TestSvtSymmetric:
         X, kept = _svt_symmetric(M, 1.0)
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
         assert kept == int((np.abs(w) > 1.0).sum())
+
+    @pytest.mark.parametrize("n", [14, 60])
+    def test_reads_the_lower_triangle(self, n):
+        M = symmetric_with_spectrum(np.linspace(-3.0, 3.0, n), n)
+        upper = np.triu(np.random.default_rng(n).standard_normal((n, n)), 1)
+        X = _svt_symmetric(np.tril(M) + upper, 1.0)[0]
+        assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_empty_kept_set_is_exact_zeros_and_silent(self, n, capfd):
@@ -160,37 +193,44 @@ class TestSvtSymmetric:
         assert kept == 4
         assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
 
-    def spy(self, monkeypatch, name):
-        calls = []
-        original = getattr(lapack, name)
-
-        def recorded(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(lapack, name, recorded)
-        return calls
-
     def test_few_kept_pairs_take_inverse_iteration(self, monkeypatch):
         w = np.concatenate([[6.0, -5.0], np.linspace(-0.5, 0.5, 58)])
         M = symmetric_with_spectrum(w, 1)
-        full, partial = self.spy(monkeypatch, "dstevd"), self.spy(monkeypatch, "dstein")
+        full, partial = spy(monkeypatch, "dstevd"), spy(monkeypatch, "dstein")
         X, kept = _svt_symmetric(M, 1.0)
         assert (kept, full, partial) == (2, [], ["dstein"])
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
 
-    @pytest.mark.parametrize("n", [5, 14, 60])
+    @pytest.mark.parametrize("n", [5, 14, 40, 60])
     def test_full_rank_input_takes_the_full_decomposition(self, monkeypatch, n):
+        # one dsyevd call below order 32, dstevd on the reduction from 32 on
         M = symmetric_with_spectrum(np.linspace(1.0, 2.0, n) * (-1) ** np.arange(n), n)
-        full, partial = self.spy(monkeypatch, "dstevd"), self.spy(monkeypatch, "dstein")
+        calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dstevd", "dstein")}
         X, kept = _svt_symmetric(M, 0.5)
-        assert (kept, full, partial) == (n, ["dstevd"], [])
+        routine = "dsyevd" if n < 32 else "dstevd"
+        assert kept == n
+        assert calls == {name: [name] if name == routine else [] for name in calls}
         assert np.allclose(X, svt(M, 0.5), rtol=0.0, atol=1e-10)
 
+    def test_small_input_is_one_dsyevd_call(self, monkeypatch):
+        w = np.concatenate([[6.0, -5.0], np.linspace(-0.5, 0.5, 12)])
+        M = symmetric_with_spectrum(w, 4)
+        names = ("dsyevd", "dsytrd", "dstebz", "dstein", "dstevd", "dormqr")
+        calls = {name: spy(monkeypatch, name) for name in names}
+        X, kept = _svt_symmetric(M, 1.0)
+        assert kept == 2
+        assert calls == {name: ["dsyevd"] if name == "dsyevd" else [] for name in names}
+        assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
+
+    def test_dsyevd_error_raises(self, monkeypatch):
+        fail_with_info(monkeypatch, "dsyevd")
+        with pytest.raises(NumericalError, match="dsyevd"):
+            _svt_symmetric(symmetric_with_spectrum(np.linspace(-3.0, 3.0, 14), 5), 1.0)
+
     def test_inverse_iteration_failure_falls_back(self, monkeypatch):
-        M = symmetric_with_spectrum(np.concatenate([[6.0], np.zeros(13)]), 2)
+        M = symmetric_with_spectrum(np.concatenate([[6.0], np.zeros(39)]), 2)
         monkeypatch.setattr(lapack, "dstein", lambda d, e, w, *a: (np.zeros((d.size, w.size)), 1))
-        full = self.spy(monkeypatch, "dstevd")
+        full = spy(monkeypatch, "dstevd")
         X, kept = _svt_symmetric(M, 1.0)
         assert (kept, full) == (1, ["dstevd"])
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
@@ -200,17 +240,155 @@ class TestSvtSymmetric:
         [("dsytrd", 2), ("dstebz", 2), ("dstein", 2), ("dormqr", 2), ("dstevd", 14), ("dormqr", 14)],
     )
     def test_lapack_error_raises(self, monkeypatch, routine, kept):
-        original = getattr(lapack, routine)
-
-        def failing(*args, **kwargs):
-            return (*original(*args, **kwargs)[:-1], -3)
-
-        monkeypatch.setattr(lapack, routine, failing)
-        # two kept pairs of 14 take inverse iteration, fourteen the full
+        fail_with_info(monkeypatch, routine)
+        # two kept pairs of 40 take inverse iteration, fourteen the full
         # decomposition
-        w = np.where(np.arange(14) < kept, 6.0, 0.0) * (-1) ** np.arange(14)
+        w = np.where(np.arange(40) < kept, 6.0, 0.0) * (-1) ** np.arange(40)
         with pytest.raises(NumericalError, match=routine):
             _svt_symmetric(symmetric_with_spectrum(w, 3), 1.0)
+
+
+# 1x1, one row, one column, tall and wide; min sides below and above 32
+SHAPES = ((1, 1), (1, 5), (5, 1), (14, 3), (3, 14), (40, 33), (33, 60), (60, 60))
+
+
+def matrix_with_singular_values(s, shape, seed):
+    """U diag(s) V' of the given shape for random orthonormal U and V."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((shape[0], s.size)))
+    V, _ = np.linalg.qr(rng.standard_normal((shape[1], s.size)))
+    return (U * s) @ V.T
+
+
+@st.composite
+def rectangular(draw):
+    """A matrix with some repeated singular values, of any rank down to 0,
+    and its singular values."""
+    shape = draw(st.sampled_from(SHAPES))
+    p = min(shape)
+    levels = draw(st.lists(st.floats(0, 10), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=p, max_size=p))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(p)
+    s = np.where(np.arange(p) % 3 == 0, np.array(levels)[picks], 3 * np.abs(noise))
+    s[draw(st.integers(0, p)):] = 0.0
+    return matrix_with_singular_values(s, shape, draw(st.integers(0, 2**32 - 1))), s
+
+
+class TestSvtGram:
+    @settings(max_examples=300, deadline=None)
+    @given(rectangular(), st.one_of(st.floats(0.0, 1.2), st.sampled_from([0.0, 1e-12, 1e-6, 1e-3])))
+    def test_matches_general_svt(self, matrix, frac):
+        M, s = matrix
+        top = max(1.0, float(s.max()))
+        # phi from 0 to past the largest singular value
+        phi = frac * top
+        X, kept = _svt_gram(M, phi)
+        assert X.shape == M.shape
+        assert np.allclose(X, svt(M, phi), rtol=0.0, atol=1e-10 * top)
+        # the kept count, away from ties at the threshold
+        assume(np.abs(s - phi).min() > 1e-8 * top)
+        assert kept == int((s > phi).sum())
+
+    @pytest.mark.parametrize("shape", [(40, 35), (35, 40), (5, 3)])
+    @pytest.mark.parametrize("phi", [0.0, 1e-300, 1e-9, 1e-3, 0.5])
+    def test_rank_deficient(self, shape, phi):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal(shape)
+        M[1::2] = M[::2][: shape[0] // 2]  # every odd row repeats the one above
+        for A in (M, M.T, np.zeros(shape)):
+            top = max(1.0, np.linalg.norm(A, 2))
+            X, kept = _svt_gram(A, phi)
+            assert np.allclose(X, svt(A, phi), rtol=0.0, atol=1e-10 * top)
+            # gesdd counts the rounding-level singular values at phi = 0
+            assert kept == solver._svt(A, phi)[1]
+        assert np.array_equal(_svt_gram(np.zeros(shape), phi)[0], np.zeros(shape))
+
+    def test_unresolvable_threshold_takes_the_exact_svt(self, monkeypatch):
+        M = matrix_with_singular_values(np.array([4.0, 3.0, 1e-5, 0.0]), (40, 35), 7)
+        edge = np.finfo(float).eps ** 0.25 * np.linalg.norm(M)  # phi^2 = sqrt(eps) ||M||_F^2
+        phis = (0.0, 0.99 * edge, 1.01 * edge, 0.5)
+        expected = [solver._svt(M, phi) for phi in phis]
+        calls = []
+        exact = solver._svt
+
+        def recorded(A, phi):
+            calls.append(phi)
+            return exact(A, phi)
+
+        monkeypatch.setattr(solver, "_svt", recorded)
+        for phi, (X0, kept0) in zip(phis, expected):
+            X, kept = _svt_gram(M, phi)
+            assert np.allclose(X, X0, rtol=0.0, atol=1e-10 * 4.0)
+            assert kept == kept0
+        assert calls == [0.0, 0.99 * edge]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_empty_kept_set_is_exact_zeros_and_silent(self, shape, capfd):
+        s = np.linspace(2.0, 0.5, min(shape))
+        M = matrix_with_singular_values(s, shape, 8)
+        # just past the largest singular value, and far past any bound
+        for phi in (2.0 * (1 + 1e-9), 1e9):
+            X, kept = _svt_gram(M, phi)
+            assert kept == 0
+            assert np.array_equal(X, np.zeros(shape))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (40, 33)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, shape, bad):
+        M = np.ones(shape)
+        M[-1, 0] = bad
+        with pytest.raises(NumericalError):
+            _svt_gram(M, 0.5)
+
+    @pytest.mark.parametrize("shape", [(6, 40), (60, 40)])
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_extreme_scales(self, shape, size):
+        s = np.array([5.0, 3.0, 0.2, 0.1, 0.4, 2.5])
+        M = matrix_with_singular_values(s, shape, 9)
+        X, kept = _svt_gram(M * size, 0.3 * size)
+        assert kept == 4
+        assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape,kept,routine",
+        [
+            ((60, 50), 2, "dstein"),
+            ((50, 60), 50, "dstevd"),
+            ((60, 14), 2, "dsyevd"),
+            ((14, 60), 2, "dsyevd"),
+        ],
+    )
+    def test_routing(self, monkeypatch, shape, kept, routine):
+        # few kept pairs take inverse iteration, many the full decomposition,
+        # and G over a smaller side below 32, tall or wide, one dsyevd call
+        p = min(shape)
+        s = np.where(np.arange(p) < kept, 6.0 - np.arange(p) / p, 0.5 * np.arange(p) / p)
+        M = matrix_with_singular_values(s, shape, 10)
+        calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dstein", "dstevd")}
+        X, got = _svt_gram(M, 1.0)
+        assert got == kept
+        assert calls == {name: [name] if name == routine else [] for name in calls}
+        assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10 * 6.0)
+
+    @pytest.mark.parametrize(
+        "routine,shape,kept",
+        [
+            ("dsytrd", (60, 40), 2),
+            ("dstebz", (60, 40), 2),
+            ("dstein", (60, 40), 2),
+            ("dormqr", (60, 40), 2),
+            ("dstevd", (60, 40), 14),
+            ("dormqr", (60, 40), 14),
+            ("dsyevd", (60, 14), 2),
+        ],
+    )
+    def test_lapack_error_raises(self, monkeypatch, routine, shape, kept):
+        fail_with_info(monkeypatch, routine)
+        p = min(shape)
+        M = matrix_with_singular_values(np.where(np.arange(p) < kept, 6.0, 0.0), shape, 11)
+        with pytest.raises(NumericalError, match=routine):
+            _svt_gram(M, 1.0)
 
 
 class TestProjectSum:
