@@ -112,9 +112,12 @@ def _cmd_solve(args) -> int:
     payload.update(
         converged=result.converged,
         iterations=result.iterations,
+        hit_cap=result.hit_cap,
         objective=result.objective,
         primal_residual=result.primal_residual,
         dual_residual=result.dual_residual,
+        blas_threads=result.blas_threads,
+        **result.anderson_counts(),
     )
     _json_out(payload, args.out)
     return 0
@@ -253,6 +256,8 @@ def _cmd_bench(args) -> int:
             "wall_time_s": elapsed,
             "iterations": result.iterations,
             "converged": result.converged,
+            "hit_cap": result.hit_cap,
+            **result.anderson_counts(),
             "ms_per_iteration": 1000.0 * elapsed / max(result.iterations, 1),
             "relative_error": solver.relative_error(result.X, inst.planted),
             "blas_threads": result.blas_threads,

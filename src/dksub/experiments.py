@@ -100,7 +100,7 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
             converged=result.converged,
             relative_error=float(err),
             wall_time=time.perf_counter() - start,
-            hit_cap=not result.converged and result.iterations == solver_cfg.max_iter,
+            hit_cap=result.hit_cap,
         )
     except Exception as exc:  # record the failure, never abort the grid
         return TrialRecord(

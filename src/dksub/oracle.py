@@ -40,26 +40,30 @@ def _row_bits(adj) -> list[int]:
     return bits
 
 
-def _best_k_subsets(nbr: list[int], n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
+def _best_k_subsets(
+    nbr: list[int], n: int, k: int, sign: int = 1
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Every k-subset maximizing sign * (its edge count in the graph of row
+    bitmasks nbr), and that edge count: sign=-1 minimizes it."""
     comb = list(range(k))
     pre_bits = [0] * (k + 1)
     pre_edges = [0] * (k + 1)
     for j in range(k):
         pre_edges[j + 1] = pre_edges[j] + (nbr[comb[j]] & pre_bits[j]).bit_count()
         pre_bits[j + 1] = pre_bits[j] | (1 << comb[j])
-    best = -1
+    best = -math.inf
     out: list[tuple[int, ...]] = []
     while True:
-        edges = pre_edges[k]
-        if edges > best:
-            best, out = edges, [tuple(comb)]
-        elif edges == best:
+        score = sign * pre_edges[k]
+        if score > best:
+            best, out = score, [tuple(comb)]
+        elif score == best:
             out.append(tuple(comb))
         i = k - 1
         while i >= 0 and comb[i] == n - k + i:
             i -= 1
         if i < 0:
-            return best, out
+            return sign * best, out
         comb[i] += 1
         for j in range(i + 1, k):
             comb[j] = comb[j - 1] + 1
@@ -115,9 +119,9 @@ def restricted_relaxation_value(
     """Minimum of k + gamma * ||Y||_1 over all rank-one integral candidates,
     where Y is the nonedge correction of the candidate subset.
 
-    Enumerates over the complement graph (counting ordered nonadjacent pairs
-    inside each subset directly), independently of :func:`brute_force_dks`;
-    the two agree on their optimizer sets for every gamma > 0.
+    Minimizes the nonedge count over the complement graph, an input
+    independent of :func:`brute_force_dks`'s (the two share only the
+    enumerator); they agree on their optimizer sets for every gamma > 0.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -127,31 +131,6 @@ def restricted_relaxation_value(
     if count > GUARD_LIMIT:
         raise SizeGuardError(f"C({g.n},{k}) = {count} exceeds the guard {GUARD_LIMIT}")
     comp = ~g.adj & ~np.eye(g.n, dtype=bool)
-    min_nonedges = None
-    argmin: list[tuple[int, ...]] = []
-    comp_bits = _row_bits(comp)
-    comb = list(range(k))
-    pre_bits = [0] * (k + 1)
-    pre_non = [0] * (k + 1)
-    for j in range(k):
-        pre_non[j + 1] = pre_non[j] + (comp_bits[comb[j]] & pre_bits[j]).bit_count()
-        pre_bits[j + 1] = pre_bits[j] | (1 << comb[j])
-    while True:
-        non = pre_non[k]
-        if min_nonedges is None or non < min_nonedges:
-            min_nonedges, argmin = non, [tuple(comb)]
-        elif non == min_nonedges:
-            argmin.append(tuple(comb))
-        i = k - 1
-        while i >= 0 and comb[i] == g.n - k + i:
-            i -= 1
-        if i < 0:
-            break
-        comb[i] += 1
-        for j in range(i + 1, k):
-            comb[j] = comb[j - 1] + 1
-        for j in range(i, k):
-            pre_non[j + 1] = pre_non[j] + (comp_bits[comb[j]] & pre_bits[j]).bit_count()
-            pre_bits[j + 1] = pre_bits[j] | (1 << comb[j])
+    min_nonedges, argmin = _best_k_subsets(_row_bits(comp), g.n, k, sign=-1)
     value = k + gamma * (2 * min_nonedges)  # ||Y||_1 counts ordered pairs
     return value, [NodeSubset(s, g.n) for s in argmin]

@@ -19,7 +19,9 @@ around admits two readings that do not agree:
   augmented Lagrangian with penalty tau.  X is a singular value thresholding
   step at 1/(3*tau) applied to the average of (Q - Y - U_Q), (W - U_W) and
   (Z - U_Z), Y is entrywise soft thresholding at gamma/tau, and the duals
-  are kept in scaled form (U = Lambda/tau).
+  are kept in scaled form (U = Lambda/tau).  A solve still unconverged
+  after 100 sweeps continues under safeguarded Anderson acceleration (see
+  _anderson_phase).
 * ``paper``: the alternative printed recipe, kept verbatim for comparison:
   X via thresholding at tau of Q + 2X - Z - W - Lambda_W, Y via
   S_{tau*gamma}(Y - tau*Q), unscaled duals, and the Q/dual updates projected
@@ -88,6 +90,23 @@ class SolverResult:
     # thread count of each bundled OpenBLAS during the solve, None for a copy
     # that was not found
     blas_threads: dict[str, int | None] = field(repr=False)
+    # what each sweep evaluated (PLAIN, ACCEPTED or REJECTED), aligned with
+    # residual_history
+    sweep_kind: np.ndarray = field(repr=False)
+    # stopped by max_iter rather than by tol or the finite guard
+    hit_cap: bool
+
+    def anderson_counts(self) -> dict[str, int]:
+        """Anderson candidates accepted and rejected during the solve."""
+        return {
+            "anderson_accepted": int(np.count_nonzero(self.sweep_kind == ACCEPTED)),
+            "anderson_rejected": int(np.count_nonzero(self.sweep_kind == REJECTED)),
+        }
+
+
+# SolverResult.sweep_kind codes: a sweep from the plain ADMM step, from an
+# Anderson candidate that was accepted, or from one that was rejected
+PLAIN, ACCEPTED, REJECTED = 0, 1, 2
 
 
 def default_gamma(k: int) -> float:
@@ -401,6 +420,267 @@ def _one_blas_thread():
             set_(count)
 
 
+# sweeps of plain ADMM before Anderson mixing starts.  Mixing from sweep 1
+# cut three recovering n=250 solves from 79/83/94 to 67/60/69 sweeps, but
+# each sweep cost ~45% more (3.0-3.3 against 4.6-4.8 ms), so no solve was
+# faster; most recovering solves at n=250 end by sweep 100
+_ANDERSON_START = 100
+# secant pairs kept by Anderson mixing
+_ANDERSON_MEMORY = 7
+# Tikhonov weight of the mixing least squares, relative to the trace of its
+# Gram matrix; the Gram matrix is summed in float32
+_ANDERSON_REG = 1e-6
+
+
+class _Sweeps:
+    """The per-sweep rows of a solve, and the residuals of its current state:
+    those of the last sweep that was not a rejected candidate."""
+
+    def __init__(self, cfg: SolverConfig):
+        self.tol = cfg.tol
+        self.max_iter = cfg.max_iter
+        self.rows: list[tuple[float, float]] = []
+        self.ranks: list[int] = []
+        self.kinds: list[int] = []
+        self.rp = self.rd = math.inf
+        self.converged = False
+
+    def add(self, rp: float, rd: float, rank: int, kind: int = PLAIN) -> None:
+        self.rows.append((rp, rd))
+        self.ranks.append(rank)
+        self.kinds.append(kind)
+        if kind != REJECTED:
+            self.rp, self.rd = rp, rd
+            self.converged = max(rp, rd) < self.tol
+
+    @property
+    def done(self) -> bool:
+        return self.converged or len(self.rows) >= self.max_iter
+
+
+class _Iterates:
+    """The iterates of a derived sweep."""
+
+    def __init__(self, shape: tuple[int, int], sum_target: float):
+        self.X = np.full(shape, sum_target / math.prod(shape))
+        self.W = self.X.copy()
+        self.Y = -self.X
+        self.Z = self.X.copy()
+        self.LQ, self.LW, self.LZ = (np.zeros(shape) for _ in range(3))
+
+
+class _DerivedSweep:
+    """The derived ADMM sweep, in place on an _Iterates, and the state
+    z = (U, V, X, LW) that the sweep is a fixed-point map of.
+
+    U = Q - X - LQ is the sweep's soft-threshold argument and V = X + LZ its
+    clamp argument (LQ and LZ from before the sweep).  z holds the other
+    iterates: Y = S(U) and LQ = Y - U (soft threshold at gamma/tau),
+    Z = clamp(V) and LZ = V - Z, W = project_sum(X), and LW, a constant
+    matrix because project_sum only shifts.  z is flat, of
+    length 3 n1 n2 + 1; its last entry is LW's value times sqrt(n1 n2), so
+    that ||z|| is the Frobenius norm of (U, V, X, LW).  Unweighted, LW's
+    steady drift on a plateau of the sweep hardly counted in ||F(z) - z||,
+    and mixing stalled there: an n=250, k=10 solve that plain ADMM converges
+    in 1339 sweeps cycled at the primal residual 0.2 until the cap.
+    """
+
+    def __init__(self, nonedge, sum_target, gamma, tau, shrink):
+        self.shape = nonedge.shape
+        self.size = nonedge.size
+        self.nonedge = nonedge
+        self.sum_target = sum_target
+        self.shrink = shrink
+        self.tau = tau
+        self.phi_x = 1.0 / (3.0 * tau)
+        self.phi_y = gamma / tau
+        # Q, the next W, Z and LQ, and two temporaries, reused by every sweep
+        self.Q, self.Wn, self.Zn, self.LQn, self.C, self.T = (
+            np.empty(self.shape) for _ in range(6)
+        )
+
+    def __call__(self, s: _Iterates) -> tuple[float, float, int] | None:
+        """One sweep of s in place: (rp, rd, kept SVT rank), or None, with s
+        unchanged, when the X-step input is not finite."""
+        norm = np.linalg.norm
+        Q, C, T = self.Q, self.C, self.T
+        # Q = X + Y + LQ on its support
+        np.add(s.X, s.Y, out=Q)
+        Q += s.LQ
+        np.copyto(Q, 0.0, where=self.nonedge)
+        # C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3
+        np.subtract(Q, s.Y, out=C)
+        C -= s.LQ
+        C += np.subtract(s.W, s.LW, out=T)
+        C += np.subtract(s.Z, s.LZ, out=T)
+        C /= 3.0
+        if not np.isfinite(C).all():
+            return None
+        X, rank = self.shrink(C, self.phi_x)
+        s.X = X
+        np.subtract(Q, X, out=T)
+        T -= s.LQ
+        soft_threshold(T, self.phi_y, out=s.Y)
+        Wn, Zn, LQn = self.Wn, self.Zn, self.LQn
+        project_sum(np.add(X, s.LW, out=Wn), self.sum_target, out=Wn)
+        clamp_box(np.add(X, s.LZ, out=Zn), out=Zn)
+        # each primal residual is also its scaled dual's step
+        r_w = float(norm(np.subtract(X, Wn, out=T)))
+        s.LW += T
+        r_z = float(norm(np.subtract(X, Zn, out=T)))
+        s.LZ += T
+        np.add(X, s.Y, out=T)
+        T -= Q
+        rp = max(r_w, r_z, float(norm(T)))
+        np.add(s.LQ, T, out=LQn)
+        d_w = float(norm(np.subtract(Wn, s.W, out=T)))
+        d_z = float(norm(np.subtract(Zn, s.Z, out=T)))
+        np.subtract(LQn, s.LQ, out=T)
+        T *= self.tau  # report the unscaled multiplier change
+        rd = max(d_w, d_z, float(norm(T)))
+        s.W, self.Wn = Wn, s.W
+        s.Z, self.Zn = Zn, s.Z
+        s.LQ, self.LQn = LQn, s.LQ
+        return rp, rd, rank
+
+    def _parts(self, z: np.ndarray) -> np.ndarray:
+        return z[:-1].reshape(3, *self.shape)
+
+    def pack(self, s: _Iterates, z: np.ndarray) -> None:
+        """Write the state of s into z.  U and V are rebuilt from the
+        sweep's outputs, to rounding, so the sweep keeps no extra buffer."""
+        U, V, X = self._parts(z)
+        np.subtract(s.Y, s.LQ, out=U)
+        np.add(s.Z, s.LZ, out=V)
+        np.copyto(X, s.X)
+        z[-1] = s.LW.sum() / math.sqrt(self.size)
+
+    def unpack(self, z: np.ndarray, s: _Iterates) -> None:
+        """Set the iterates of s from the state z."""
+        U, V, X = self._parts(z)
+        np.copyto(s.X, X)
+        soft_threshold(U, self.phi_y, out=s.Y)
+        np.subtract(s.Y, U, out=s.LQ)
+        clamp_box(V, out=s.Z)
+        np.subtract(V, s.Z, out=s.LZ)
+        project_sum(X, self.sum_target, out=s.W)
+        s.LW.fill(z[-1] / math.sqrt(self.size))
+
+
+def _mixing_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The weights c minimizing ||g - dG c||^2 + reg ||c||^2, from
+    gram = dG'dG and rhs = dG'g, or None when dG is zero."""
+    scale = float(np.trace(gram))
+    if not 0.0 < scale < math.inf:
+        return None
+    system = gram.copy()
+    system.flat[:: rhs.size + 1] += _ANDERSON_REG * scale
+    # a Cholesky solve; the float32 Gram matrix may fail to be definite
+    _, c, info = lapack.dposv(system, rhs)
+    return c if info == 0 else None
+
+
+class _AndersonMemory:
+    """The last m secant pairs (dG, dF) of type-II Anderson mixing, in
+    float32, with the Gram matrix dG'dG and the products dG'g with the
+    current residual g."""
+
+    def __init__(self, length: int, m: int):
+        self.dG = np.empty((m, length), dtype=np.float32)
+        self.dF = np.empty((m, length), dtype=np.float32)
+        self.g = np.empty(length, dtype=np.float32)
+        self.gram = np.zeros((m, m))
+        self.rhs = np.zeros(m)
+        self.count = self.slot = 0
+
+    def clear(self) -> None:
+        self.count = self.slot = 0
+
+    def mix(self, f, g, f_prev, g_prev) -> np.ndarray | None:
+        """Push the secant pair of the last step, from the point with map
+        value f_prev and residual g_prev to the point with f and g, and
+        return the mixed point f - dF c, with c from _mixing_coefficients;
+        None when there is none.
+
+        One pass over the history per call: the new column of the Gram
+        matrix is dG'dg for the new pair dg, and since g = g_prev + dg, the
+        products with the residual follow as dG'g = dG'g_prev + dG'dg.  (At
+        n=250 and m=7, one matrix product of dG with both dg and g took
+        0.75 ms in OpenBLAS, one matrix-vector product 0.11 ms.)"""
+        j = self.slot
+        dg = self.dG[j]
+        np.subtract(g, g_prev, out=dg)
+        np.subtract(f, f_prev, out=self.dF[j])
+        self.slot = (j + 1) % len(self.dG)
+        self.count = n = min(self.count + 1, len(self.dG))
+        column = self.dG[:n] @ dg
+        self.gram[j, :n] = self.gram[:n, j] = column
+        self.rhs[:n] += column
+        np.copyto(self.g, g, casting="same_kind")
+        self.rhs[j] = dg @ self.g
+        c = _mixing_coefficients(self.gram[:n, :n], self.rhs[:n])
+        if c is None:
+            return None
+        return f - c.astype(np.float32) @ self.dF[:n]
+
+
+def _anderson_phase(sweep: _DerivedSweep, a: _Iterates, sweeps: _Sweeps) -> _Iterates:
+    """Continue a derived solve from the iterates a as the fixed-point
+    iteration z <- F(z) of the sweep, accelerated by type-II Anderson mixing
+    (Walker & Ni 2011) under the safeguard of Zhang, O'Donoghue & Boyd
+    (2020); returns the iterates of the current state.
+
+    Each candidate z~ is checked with one exact sweep, and accepted only if
+    ||F(z~) - z~|| <= ||F(z) - z|| at the current point z.  Otherwise the
+    memory is cleared and the plain step z <- F(z) is taken.  Every sweep,
+    a rejected candidate's included, is recorded and counts toward max_iter;
+    the stop rule reads the sweeps at the current state only.
+    """
+    length = 3 * sweep.size + 1
+    memory = _AndersonMemory(length, _ANDERSON_MEMORY)
+    b = _Iterates(sweep.shape, sweep.sum_target)
+    # map values and residuals at the current point, the previous one and
+    # the candidate
+    f, g, f_prev, g_prev, f_cand, g_cand = (np.empty(length) for _ in range(6))
+    sweep.pack(a, f)
+    # whether g, and g_prev, hold the residual at their point: sweep 100's
+    # output is the first point, and its residual is not known
+    have_g = have_pair = False
+    while not sweeps.done:
+        if have_pair:
+            z_cand = memory.mix(f, g, f_prev, g_prev)
+            if z_cand is not None:
+                sweep.unpack(z_cand, b)
+                out = sweep(b)
+                if out is None:
+                    break
+                sweep.pack(b, f_cand)
+                np.subtract(z_cand, f_cand, out=g_cand)
+                cand_norm = math.sqrt(g_cand @ g_cand)
+                if cand_norm <= g_norm:
+                    sweeps.add(*out, ACCEPTED)
+                    a, b = b, a
+                    f_prev, f, f_cand = f, f_cand, f_prev
+                    g_prev, g, g_cand = g, g_cand, g_prev
+                    g_norm = cand_norm
+                    continue
+                sweeps.add(*out, REJECTED)
+                memory.clear()
+                if sweeps.done:
+                    break
+        out = sweep(a)
+        if out is None:
+            break
+        sweeps.add(*out)
+        f_prev, f = f, f_prev
+        g_prev, g = g, g_prev
+        sweep.pack(a, f)
+        np.subtract(f_prev, f, out=g)
+        g_norm = math.sqrt(g @ g)
+        have_pair, have_g = have_g, True
+    return a
+
+
 def _admm(
     nonedge: np.ndarray,
     sum_target: float,
@@ -408,30 +688,8 @@ def _admm(
     cfg: SolverConfig,
     symmetric: bool,
 ) -> SolverResult:
-    shape = nonedge.shape
-    size = nonedge.size
-    keep = ~nonedge  # support of Q: edges (plus the diagonal in the square case)
     shrink = _svt_symmetric if symmetric else _svt_gram
-    tau = cfg.tau
-    norm = np.linalg.norm
-
-    X = np.full(shape, sum_target / size)
-    W = X.copy()
-    Y = -X
-    Z = X.copy()
-    Q = np.zeros(shape)
-    LQ = np.zeros(shape)
-    LW = np.zeros(shape)
-    LZ = np.zeros(shape)
-    if cfg.mode == "derived":
-        # the next W, Z and LQ, and two temporaries, reused by every sweep
-        Wn, Zn, LQn, C, T = (np.empty(shape) for _ in range(5))
-
-    history = []
-    ranks = []
-    converged = False
-    rp = rd = math.inf
-    iterations = 0
+    sweeps = _Sweeps(cfg)
     # one BLAS thread: a threaded solve measured ~3x slower at n=250 and a
     # threaded eigh+GEMM within 5% at n=1000 (see README); jobs is the axis
     # for parallelism
@@ -439,72 +697,19 @@ def _admm(
         # divergent runs (possible in paper mode) trip the finite guard below;
         # silence the overflow that precedes it
         with np.errstate(over="ignore", invalid="ignore"):
-            for it in range(cfg.max_iter):
-                if cfg.mode == "paper":
-                    Q = np.where(nonedge, X + Y - LQ, 0.0)
-                    Xt = Q + 2.0 * X - Z - W - LW
-                    if not np.isfinite(Xt).all():
+            if cfg.mode == "paper":
+                X, Y = _paper_loop(nonedge, sum_target, gamma, cfg.tau, shrink, sweeps)
+            else:
+                sweep = _DerivedSweep(nonedge, sum_target, gamma, cfg.tau, shrink)
+                s = _Iterates(nonedge.shape, sum_target)
+                while not sweeps.done and len(sweeps.rows) < _ANDERSON_START:
+                    out = sweep(s)
+                    if out is None:
                         break
-                    Xn, rank = shrink(Xt, tau)
-                    Yn = soft_threshold(Y - tau * Q, tau * gamma)
-                    Wn = project_sum(Xn - LW, sum_target)
-                    Zn = clamp_box(Xn - LZ)
-                    LQn = np.where(keep, LQ - (Xn + Yn), 0.0)
-                    LWn = LW - (Xn - Wn)
-                    LZn = LZ - (Xn - Zn)
-                    rp = max(
-                        float(norm(Xn - Wn)),
-                        float(norm(Xn - Zn)),
-                        float(norm(Xn + Yn - Q)),
-                    )
-                    rd = max(
-                        float(norm(Wn - W)),
-                        float(norm(Zn - Z)),
-                        float(norm(LQn - LQ)),
-                    )
-                    X, Y, W, Z, LQ, LW, LZ = Xn, Yn, Wn, Zn, LQn, LWn, LZn
-                else:
-                    # Q = X + Y + LQ on its support
-                    np.add(X, Y, out=Q)
-                    Q += LQ
-                    np.copyto(Q, 0.0, where=nonedge)
-                    # C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3
-                    np.subtract(Q, Y, out=C)
-                    C -= LQ
-                    C += np.subtract(W, LW, out=T)
-                    C += np.subtract(Z, LZ, out=T)
-                    C /= 3.0
-                    if not np.isfinite(C).all():
-                        break
-                    X, rank = shrink(C, 1.0 / (3.0 * tau))
-                    np.subtract(Q, X, out=T)
-                    T -= LQ
-                    soft_threshold(T, gamma / tau, out=Y)
-                    project_sum(np.add(X, LW, out=Wn), sum_target, out=Wn)
-                    clamp_box(np.add(X, LZ, out=Zn), out=Zn)
-                    # each primal residual is also its scaled dual's step
-                    r_w = float(norm(np.subtract(X, Wn, out=T)))
-                    LW += T
-                    r_z = float(norm(np.subtract(X, Zn, out=T)))
-                    LZ += T
-                    np.add(X, Y, out=T)
-                    T -= Q
-                    rp = max(r_w, r_z, float(norm(T)))
-                    np.add(LQ, T, out=LQn)
-                    d_w = float(norm(np.subtract(Wn, W, out=T)))
-                    d_z = float(norm(np.subtract(Zn, Z, out=T)))
-                    np.subtract(LQn, LQ, out=T)
-                    T *= tau  # report the unscaled multiplier change
-                    rd = max(d_w, d_z, float(norm(T)))
-                    W, Wn = Wn, W
-                    Z, Zn = Zn, Z
-                    LQ, LQn = LQn, LQ
-                history.append((rp, rd))
-                ranks.append(rank)
-                iterations = it + 1
-                if max(rp, rd) < cfg.tol:
-                    converged = True
-                    break
+                    sweeps.add(*out)
+                if out is not None and not sweeps.done:
+                    s = _anderson_phase(sweep, s, sweeps)
+                X, Y = s.X, s.Y
 
         if np.isfinite(X).all():
             objective = _nuclear_norm(X, symmetric) + gamma * float(np.abs(Y).sum())
@@ -513,15 +718,55 @@ def _admm(
     return SolverResult(
         X=X,
         Y=Y,
-        iterations=iterations,
-        converged=converged,
-        primal_residual=float(rp),
-        dual_residual=float(rd),
+        iterations=len(sweeps.rows),
+        converged=sweeps.converged,
+        primal_residual=float(sweeps.rp),
+        dual_residual=float(sweeps.rd),
         objective=objective,
-        residual_history=np.array(history) if history else np.zeros((0, 2)),
-        svt_rank=np.array(ranks, dtype=int),
+        residual_history=np.array(sweeps.rows) if sweeps.rows else np.zeros((0, 2)),
+        svt_rank=np.array(sweeps.ranks, dtype=int),
         blas_threads=blas_threads,
+        sweep_kind=np.array(sweeps.kinds, dtype=np.int8),
+        hit_cap=not sweeps.converged and len(sweeps.rows) == cfg.max_iter,
     )
+
+
+def _paper_loop(nonedge, sum_target, gamma, tau, shrink, sweeps: _Sweeps):
+    """The verbatim `paper` sweeps; returns the final X and Y."""
+    norm = np.linalg.norm
+    keep = ~nonedge  # support of Q: edges (plus the diagonal in the square case)
+    X = np.full(nonedge.shape, sum_target / nonedge.size)
+    W = X.copy()
+    Y = -X
+    Z = X.copy()
+    LQ = np.zeros(nonedge.shape)
+    LW = np.zeros(nonedge.shape)
+    LZ = np.zeros(nonedge.shape)
+    while not sweeps.done:
+        Q = np.where(nonedge, X + Y - LQ, 0.0)
+        Xt = Q + 2.0 * X - Z - W - LW
+        if not np.isfinite(Xt).all():
+            break
+        Xn, rank = shrink(Xt, tau)
+        Yn = soft_threshold(Y - tau * Q, tau * gamma)
+        Wn = project_sum(Xn - LW, sum_target)
+        Zn = clamp_box(Xn - LZ)
+        LQn = np.where(keep, LQ - (Xn + Yn), 0.0)
+        LWn = LW - (Xn - Wn)
+        LZn = LZ - (Xn - Zn)
+        rp = max(
+            float(norm(Xn - Wn)),
+            float(norm(Xn - Zn)),
+            float(norm(Xn + Yn - Q)),
+        )
+        rd = max(
+            float(norm(Wn - W)),
+            float(norm(Zn - Z)),
+            float(norm(LQn - LQ)),
+        )
+        X, Y, W, Z, LQ, LW, LZ = Xn, Yn, Wn, Zn, LQn, LWn, LZn
+        sweeps.add(rp, rd, rank)
+    return X, Y
 
 
 def solve_dks(g: Graph, k: int, cfg: SolverConfig | None = None) -> SolverResult:

@@ -85,6 +85,7 @@ def test_criterion_1_clean_planted_recovery(clean_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_noisy_recovery_extremes(figure_column):
     _, cells, records = figure_column
     by_k = {c.k: c for c in cells}
@@ -103,6 +104,7 @@ def test_criterion_2_noisy_recovery_extremes(figure_column):
     )
 
 
+@pytest.mark.slow
 def test_monotone_transition_property(figure_column):
     # recovery counts along k are non-decreasing after 3-cell median smoothing
     _, cells, _ = figure_column
@@ -265,6 +267,7 @@ def test_criterion_8_bipartite_recovery():
     report(8, ok, f"noisy {noisy}/10 recovered (need >= 8), clean {clean}/10 (need 10)")
 
 
+@pytest.mark.slow
 def test_criterion_9_mode_agreement(clean_runs):
     """Both update modes on the criterion-1 instances.
 

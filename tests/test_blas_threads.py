@@ -66,16 +66,26 @@ def test_bipartite_solve_restores_the_callers_count():
     assert all(result.blas_threads[name] == 1 for name in controls)
 
 
-def test_solution_does_not_depend_on_the_callers_thread_count():
-    # at n=250 a solve on two OpenBLAS threads moves X in the last digits
-    inst = sample_dks(PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4))
+@pytest.mark.parametrize(
+    "params",
+    [
+        # at n=250 a solve on two OpenBLAS threads moves X in the last digits
+        PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4),
+        # the first criterion-3 instance (its p and q are the first draws of
+        # stream_rng(777)), solved under Anderson acceleration
+        PlantedDksParams(n=14, k=3, p=0.4132411070517073, q=0.21660356948641557, seed=10_000),
+    ],
+)
+def test_solution_does_not_depend_on_the_callers_thread_count(params):
+    inst = sample_dks(params)
     with caller_threads(1):
-        one = solve_dks(inst.graph, 100)
+        one = solve_dks(inst.graph, params.k)
     with caller_threads(2):
-        two = solve_dks(inst.graph, 100)
+        two = solve_dks(inst.graph, params.k)
     assert one.iterations == two.iterations
     assert np.array_equal(one.X, two.X)
     assert np.array_equal(one.residual_history, two.residual_history)
+    assert np.array_equal(one.sweep_kind, two.sweep_kind)
 
 
 def test_pool_workers_never_call_a_setter(monkeypatch, tmp_path):

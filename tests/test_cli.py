@@ -70,6 +70,11 @@ class TestSolve:
         assert payload["X_relative_error_vs_ground_truth"] < 1e-3
         assert len(payload["recovered_subset"]) == 12
         assert payload["objective"] == pytest.approx(12.0, abs=0.05)
+        assert payload["hit_cap"] is False
+        assert payload["blas_threads"] == {
+            name: None if controls is None else 1
+            for name, controls in solver._blas_controls().items()
+        }
 
     def test_solve_bipartite(self, tmp_path):
         graph_file = tmp_path / "b.txt"
@@ -109,7 +114,8 @@ class TestSolve:
         ) == 0
         payload = json.loads(result_file.read_text(encoding="utf-8"))
         assert sorted(payload) == [
-            "X_relative_error_vs_ground_truth", "converged", "dual_residual",
+            "X_relative_error_vs_ground_truth", "anderson_accepted", "anderson_rejected",
+            "blas_threads", "converged", "dual_residual", "hit_cap",
             "iterations", "objective", "primal_residual", "recovered_subset",
         ]
         assert payload["recovered_subset"] == {"u": u, "v": v}
@@ -214,6 +220,8 @@ class TestBench:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is True
+        assert payload["hit_cap"] is False
+        assert payload["anderson_accepted"] == payload["anderson_rejected"] == 0
         assert payload["wall_time_s"] > 0
         assert payload["ms_per_iteration"] > 0
         expected = {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import dksub
 from dksub import solver
 from dksub.graphs import (
     BipartiteGraph,
@@ -11,7 +12,11 @@ from dksub.graphs import (
     proposed_solution,
 )
 from dksub.models import PlantedDkbParams, PlantedDksParams, sample_dkb, sample_dks
+from dksub.oracle import brute_force_dks
 from dksub.solver import (
+    ACCEPTED,
+    PLAIN,
+    REJECTED,
     SolverConfig,
     recovery_check,
     relative_error,
@@ -128,6 +133,84 @@ class TestSolveDks:
             SolverConfig(tau=0.0)
         with pytest.raises(ValueError):
             SolverConfig(mode="other")
+
+
+def criterion_3_trial_0():
+    """The first criterion-3 instance (n=14, k=3): a plain ADMM solve of it
+    stops at the 5000-sweep cap."""
+    rng = dksub.stream_rng(777)
+    p, q = float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.5))
+    return sample_dks(PlantedDksParams(n=14, k=3, p=p, q=q, seed=10_000)).graph, 3
+
+
+class TestAnderson:
+    def test_rows_before_the_start_are_the_plain_solves(self):
+        g, k = criterion_3_trial_0()
+        full = solve_dks(g, k)
+        capped = solve_dks(g, k, SolverConfig(max_iter=solver._ANDERSON_START))
+        start = solver._ANDERSON_START
+        assert full.iterations > start and capped.iterations == start
+        assert np.array_equal(full.residual_history[:start], capped.residual_history)
+        assert np.array_equal(full.svt_rank[:start], capped.svt_rank)
+        assert (capped.sweep_kind == PLAIN).all()
+        assert full.sweep_kind.shape == (full.iterations,)
+        assert (full.sweep_kind[start:] == ACCEPTED).any()
+
+    def test_no_anderson_step_before_the_start(self):
+        inst = sample_dks(PlantedDksParams(n=50, k=20, p=0.0, q=0.0, seed=4))
+        result = solve_dks(inst.graph, 20)
+        assert result.converged and result.iterations < solver._ANDERSON_START
+        assert (result.sweep_kind == PLAIN).all()
+        assert result.anderson_counts() == {"anderson_accepted": 0, "anderson_rejected": 0}
+
+    def test_bad_candidate_gives_the_plain_step_and_clears_the_memory(self, monkeypatch):
+        g, k = criterion_3_trial_0()
+        cfg = SolverConfig(max_iter=300)
+        memory_sizes = []
+
+        def far_off(gram, rhs):
+            memory_sizes.append(rhs.size)
+            return np.full(rhs.size, 1e3)
+
+        monkeypatch.setattr(solver, "_mixing_coefficients", far_off)
+        mixed = solve_dks(g, k, cfg)
+        monkeypatch.setattr(solver, "_ANDERSON_START", cfg.max_iter)
+        plain = solve_dks(g, k, cfg)
+        kinds = mixed.sweep_kind
+        assert (kinds != ACCEPTED).all() and (kinds == REJECTED).sum() == len(memory_sizes)
+        # every rejection is followed by a plain sweep, from a memory that
+        # then holds one secant pair only
+        after = kinds[1:][kinds[:-1] == REJECTED]
+        assert after.size and (after == PLAIN).all()
+        assert set(memory_sizes) == {1}
+        # the sweeps at the current state are those of plain ADMM
+        assert np.array_equal(
+            mixed.residual_history[kinds == PLAIN],
+            plain.residual_history[: (kinds == PLAIN).sum()],
+        )
+
+    def test_accelerated_solve_is_feasible_and_meets_the_stop_rule(self):
+        g, k = criterion_3_trial_0()
+        cfg = SolverConfig()
+        result = solve_dks(g, k, cfg)
+        assert result.converged and not result.hit_cap
+        assert result.anderson_counts()["anderson_accepted"] > 0
+        assert result.sweep_kind[-1] != REJECTED
+        assert tuple(result.residual_history[-1]) == (
+            result.primal_residual, result.dual_residual,
+        )
+        assert max(result.primal_residual, result.dual_residual) < cfg.tol
+        assert_feasible(result, g, k, cfg.tol)
+
+    def test_capped_criterion_3_instance_converges_and_rounds_to_a_densest_subgraph(self):
+        g, k = criterion_3_trial_0()
+        result = solve_dks(g, k)
+        assert result.converged
+        # X is fractional (relative error 0.61 to its rounding), yet the
+        # rounding is a densest 3-subgraph
+        mask = round_to_subset(result.X, k).mask()
+        edges = int(g.adj[np.ix_(mask, mask)].sum()) // 2
+        assert edges == brute_force_dks(g, k).best_edge_count
 
 
 class TestSolveDkb:
