@@ -66,17 +66,7 @@ def test_bipartite_solve_restores_the_callers_count():
     assert all(result.blas_threads[name] == 1 for name in controls)
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        # at n=250 a solve on two OpenBLAS threads moves X in the last digits
-        PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4),
-        # the first criterion-3 instance (its p and q are the first draws of
-        # stream_rng(777)), solved under Anderson acceleration
-        PlantedDksParams(n=14, k=3, p=0.4132411070517073, q=0.21660356948641557, seed=10_000),
-    ],
-)
-def test_solution_does_not_depend_on_the_callers_thread_count(params):
+def assert_same_solve_on_one_and_two_threads(params):
     inst = sample_dks(params)
     with caller_threads(1):
         one = solve_dks(inst.graph, params.k)
@@ -86,6 +76,19 @@ def test_solution_does_not_depend_on_the_callers_thread_count(params):
     assert np.array_equal(one.X, two.X)
     assert np.array_equal(one.residual_history, two.residual_history)
     assert np.array_equal(one.sweep_kind, two.sweep_kind)
+
+
+def test_solution_does_not_depend_on_the_callers_thread_count():
+    # at n=250 a solve on two OpenBLAS threads moves X in the last digits
+    assert_same_solve_on_one_and_two_threads(PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4))
+
+
+def test_anderson_solve_does_not_depend_on_the_callers_thread_count():
+    # the first criterion-3 instance (its p and q are the first draws of
+    # stream_rng(777)), solved under Anderson acceleration
+    assert_same_solve_on_one_and_two_threads(
+        PlantedDksParams(n=14, k=3, p=0.4132411070517073, q=0.21660356948641557, seed=10_000)
+    )
 
 
 def test_pool_workers_never_call_a_setter(monkeypatch, tmp_path):
