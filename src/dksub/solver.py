@@ -19,9 +19,11 @@ around admits two readings that do not agree:
   augmented Lagrangian with penalty tau.  X is a singular value thresholding
   step at 1/(3*tau) applied to the average of (Q - Y - U_Q), (W - U_W) and
   (Z - U_Z), Y is entrywise soft thresholding at gamma/tau, and the duals
-  are kept in scaled form (U = Lambda/tau).  A solve still unconverged
-  after 100 sweeps continues under safeguarded Anderson acceleration (see
-  _anderson_phase).
+  are kept in scaled form (U = Lambda/tau).  The projection onto the sum
+  constraint only shifts, so W is X plus a constant and U_W is a constant:
+  the sweep holds both as scalars (see _DerivedSweep).  A solve still
+  unconverged after 100 sweeps continues under safeguarded Anderson
+  acceleration (see _anderson_phase).
 * ``paper``: the alternative printed recipe, kept verbatim for comparison:
   X via thresholding at tau of Q + 2X - Z - W - Lambda_W, Y via
   S_{tau*gamma}(Y - tau*Q), unscaled duals, and the Q/dual updates projected
@@ -124,15 +126,13 @@ def default_gamma_bipartite(k1: int, k2: int) -> float:
 
 
 def soft_threshold(x: np.ndarray, phi: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Entrywise shrink toward zero by phi.  out, when given, receives the
-    result and must not overlap x."""
+    """Entrywise shrink toward zero by phi, as x - clip(x, -phi, phi).  out,
+    when given, receives the result and must not overlap x."""
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
-    shrunk = np.abs(x, out=out)
-    shrunk -= phi
-    np.maximum(shrunk, 0.0, out=shrunk)
-    return np.copysign(shrunk, x, out=shrunk)
+    clipped = np.clip(x, -phi, phi, out=out)
+    return np.subtract(x, clipped, out=clipped)
 
 
 def svt(M: np.ndarray, phi: float) -> np.ndarray:
@@ -459,89 +459,109 @@ class _Sweeps:
 
 
 class _Iterates:
-    """The iterates of a derived sweep."""
+    """The iterates of a derived sweep.  The sum-constraint copy W = X + ws
+    and its scaled multiplier LW = lw are held as the scalars ws and lw:
+    the projection onto the sum constraint only shifts, so LW starts and
+    stays constant."""
 
     def __init__(self, shape: tuple[int, int], sum_target: float):
         self.X = np.full(shape, sum_target / math.prod(shape))
-        self.W = self.X.copy()
         self.Y = -self.X
         self.Z = self.X.copy()
-        self.LQ, self.LW, self.LZ = (np.zeros(shape) for _ in range(3))
+        self.LQ, self.LZ = np.zeros(shape), np.zeros(shape)
+        self.ws = self.lw = 0.0
 
 
 class _DerivedSweep:
     """The derived ADMM sweep, in place on an _Iterates, and the state
     z = (U, V, X, LW) that the sweep is a fixed-point map of.
 
+    With W = X + ws and LW = lw held as scalars (see _Iterates), the sweep
+    never forms W: W - LW enters the X-step as a shift, the new ws is
+    (sum_target - sum(X)) / (n1 n2), and the sum constraint's residuals are
+    |ws| sqrt(n1 n2) (primal) and ||X - X_prev + ws - ws_prev|| (dual).  Two
+    more identities save passes: the new LQ = Y - U is -clip(U), and
+    X + Y - Q equals the new LQ minus the old, so one norm gives the third
+    primal residual and, times tau, the third dual one.
+
     U = Q - X - LQ is the sweep's soft-threshold argument and V = X + LZ its
     clamp argument (LQ and LZ from before the sweep).  z holds the other
     iterates: Y = S(U) and LQ = Y - U (soft threshold at gamma/tau),
-    Z = clamp(V) and LZ = V - Z, W = project_sum(X), and LW, a constant
-    matrix because project_sum only shifts.  z is flat, of
-    length 3 n1 n2 + 1; its last entry is LW's value times sqrt(n1 n2), so
-    that ||z|| is the Frobenius norm of (U, V, X, LW).  Unweighted, LW's
-    steady drift on a plateau of the sweep hardly counted in ||F(z) - z||,
-    and mixing stalled there: an n=250, k=10 solve that plain ADMM converges
-    in 1339 sweeps cycled at the primal residual 0.2 until the cap.
+    Z = clamp(V) and LZ = V - Z, and ws from sum(X).  z is flat, of length
+    3 n1 n2 + 1; its last entry is lw sqrt(n1 n2), so that ||z|| is the
+    Frobenius norm of (U, V, X, LW).  Unweighted, LW's steady drift on a
+    plateau of the sweep hardly counted in ||F(z) - z||, and mixing stalled
+    there: an n=250, k=10 solve that plain ADMM converges in 1339 sweeps
+    cycled at the primal residual 0.2 until the cap.
     """
 
     def __init__(self, nonedge, sum_target, gamma, tau, shrink):
         self.shape = nonedge.shape
         self.size = nonedge.size
-        self.nonedge = nonedge
+        self.root_size = math.sqrt(nonedge.size)
+        # Q's support, as a factor: a multiply costs a tenth of a masked copy
+        self.keep = 1.0 - nonedge
         self.sum_target = sum_target
         self.shrink = shrink
         self.tau = tau
         self.phi_x = 1.0 / (3.0 * tau)
         self.phi_y = gamma / tau
-        # Q, the next W, Z and LQ, and two temporaries, reused by every sweep
-        self.Q, self.Wn, self.Zn, self.LQn, self.C, self.T = (
-            np.empty(self.shape) for _ in range(6)
-        )
+        # Q, the next Z and LQ, and two temporaries, reused by every sweep
+        self.Q, self.Zn, self.LQn, self.C, self.T = (np.empty(self.shape) for _ in range(5))
 
     def __call__(self, s: _Iterates) -> tuple[float, float, int] | None:
         """One sweep of s in place: (rp, rd, kept SVT rank), or None, with s
         unchanged, when the X-step input is not finite."""
         norm = np.linalg.norm
         Q, C, T = self.Q, self.C, self.T
+        X_prev = s.X
         # Q = X + Y + LQ on its support
-        np.add(s.X, s.Y, out=Q)
-        Q += s.LQ
-        np.copyto(Q, 0.0, where=self.nonedge)
-        # C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3
-        np.subtract(Q, s.Y, out=C)
-        C -= s.LQ
-        C += np.subtract(s.W, s.LW, out=T)
-        C += np.subtract(s.Z, s.LZ, out=T)
-        C /= 3.0
+        np.add(s.Y, s.LQ, out=T)
+        np.add(X_prev, T, out=Q)
+        Q *= self.keep
+        # C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3, W - LW = X + ws - lw
+        np.subtract(Q, T, out=C)
+        C += X_prev
+        C += s.Z
+        C -= s.LZ
+        C += s.ws - s.lw
+        C *= 1.0 / 3.0  # a divide pass costs about four multiply passes
         if not np.isfinite(C).all():
             return None
         X, rank = self.shrink(C, self.phi_x)
-        s.X = X
-        np.subtract(Q, X, out=T)
-        T -= s.LQ
-        soft_threshold(T, self.phi_y, out=s.Y)
-        Wn, Zn, LQn = self.Wn, self.Zn, self.LQn
-        project_sum(np.add(X, s.LW, out=Wn), self.sum_target, out=Wn)
-        clamp_box(np.add(X, s.LZ, out=Zn), out=Zn)
-        # each primal residual is also its scaled dual's step
-        r_w = float(norm(np.subtract(X, Wn, out=T)))
-        s.LW += T
+        # U = Q - X - LQ, in Q's buffer; Y = S(U) and the new LQ = Y - U
+        U = Q
+        U -= X
+        U -= s.LQ
+        soft_threshold(U, self.phi_y, out=s.Y)
+        LQn, Zn = self.LQn, self.Zn
+        np.subtract(s.Y, U, out=LQn)
+        ws = self._shift(X)
+        # V = X + LZ, in LZ's buffer; Z = clamp(V) and the new LZ = V - Z
+        V = s.LZ
+        V += X
+        clamp_box(V, out=Zn)
+        V -= Zn
+        # each primal residual is also its scaled dual's step: X - W = -ws,
+        # and X + Y - Q = LQn - LQ, whose norm times tau is also the third
+        # dual residual
         r_z = float(norm(np.subtract(X, Zn, out=T)))
-        s.LZ += T
-        np.add(X, s.Y, out=T)
-        T -= Q
-        rp = max(r_w, r_z, float(norm(T)))
-        np.add(s.LQ, T, out=LQn)
-        d_w = float(norm(np.subtract(Wn, s.W, out=T)))
+        r_q = float(norm(np.subtract(LQn, s.LQ, out=T)))
+        rp = max(abs(ws) * self.root_size, r_z, r_q)
+        np.subtract(X, X_prev, out=T)
+        T += ws - s.ws
+        d_w = float(norm(T))
         d_z = float(norm(np.subtract(Zn, s.Z, out=T)))
-        np.subtract(LQn, s.LQ, out=T)
-        T *= self.tau  # report the unscaled multiplier change
-        rd = max(d_w, d_z, float(norm(T)))
-        s.W, self.Wn = Wn, s.W
+        rd = max(d_w, d_z, self.tau * r_q)  # the unscaled multiplier change
+        s.X, s.ws = X, ws
+        s.lw -= ws
         s.Z, self.Zn = Zn, s.Z
         s.LQ, self.LQn = LQn, s.LQ
         return rp, rd, rank
+
+    def _shift(self, X: np.ndarray) -> float:
+        """ws for X: the constant that brings its sum to sum_target."""
+        return (self.sum_target - float(X.sum())) / self.size
 
     def _parts(self, z: np.ndarray) -> np.ndarray:
         return z[:-1].reshape(3, *self.shape)
@@ -553,7 +573,7 @@ class _DerivedSweep:
         np.subtract(s.Y, s.LQ, out=U)
         np.add(s.Z, s.LZ, out=V)
         np.copyto(X, s.X)
-        z[-1] = s.LW.sum() / math.sqrt(self.size)
+        z[-1] = s.lw * self.root_size
 
     def unpack(self, z: np.ndarray, s: _Iterates) -> None:
         """Set the iterates of s from the state z."""
@@ -563,8 +583,8 @@ class _DerivedSweep:
         np.subtract(s.Y, U, out=s.LQ)
         clamp_box(V, out=s.Z)
         np.subtract(V, s.Z, out=s.LZ)
-        project_sum(X, self.sum_target, out=s.W)
-        s.LW.fill(z[-1] / math.sqrt(self.size))
+        s.ws = self._shift(s.X)
+        s.lw = float(z[-1]) / self.root_size
 
 
 def _mixing_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:

@@ -8,6 +8,7 @@ from dksub.graphs import (
     BipartiteGraph,
     Graph,
     NodeSubset,
+    bipartite_complement_edges,
     complement_edges,
     proposed_solution,
 )
@@ -18,6 +19,7 @@ from dksub.solver import (
     PLAIN,
     REJECTED,
     SolverConfig,
+    default_gamma,
     recovery_check,
     relative_error,
     round_to_subset,
@@ -211,6 +213,99 @@ class TestAnderson:
         mask = round_to_subset(result.X, k).mask()
         edges = int(g.adj[np.ix_(mask, mask)].sum()) // 2
         assert edges == brute_force_dks(g, k).best_edge_count
+
+
+def matrix_w_sweep(s, nonedge, sum_target, gamma, tau, shrink):
+    """The derived sweep as first written: W and LW as matrices, W from
+    project_sum, Q masked by a copy, and the soft threshold as
+    copysign(max(|x| - phi, 0), x).  s is a dict of the iterates, updated
+    in place; returns (rp, rd, kept rank)."""
+    norm = np.linalg.norm
+    Q = s["X"] + s["Y"] + s["LQ"]
+    np.copyto(Q, 0.0, where=nonedge)
+    C = ((Q - s["Y"] - s["LQ"]) + (s["W"] - s["LW"]) + (s["Z"] - s["LZ"])) / 3.0
+    X, rank = shrink(C, 1.0 / (3.0 * tau))
+    U = Q - X - s["LQ"]
+    Y = np.copysign(np.maximum(np.abs(U) - gamma / tau, 0.0), U)
+    W = solver.project_sum(X + s["LW"], sum_target)
+    Z = np.clip(X + s["LZ"], 0.0, 1.0)
+    LQ = s["LQ"] + (X + Y - Q)
+    rp = max(norm(X - W), norm(X - Z), norm(X + Y - Q))
+    rd = max(norm(W - s["W"]), norm(Z - s["Z"]), tau * norm(LQ - s["LQ"]))
+    s.update(X=X, Y=Y, W=W, Z=Z, LQ=LQ, LW=s["LW"] + (X - W), LZ=s["LZ"] + (X - Z))
+    return rp, rd, rank
+
+
+def n60_square(k):
+    """A derived sweep of an n=60 square instance, and the sweep's input."""
+    inst = sample_dks(PlantedDksParams(n=60, k=k, p=0.05, q=0.25, seed=0))
+    args = complement_edges(inst.graph), float(k * k), default_gamma(k)
+    return solver._DerivedSweep(*args, 0.35, solver._svt_symmetric), args
+
+
+def bipartite_30x40():
+    """A derived sweep of a 30x40 bipartite instance, and the sweep's input."""
+    inst = sample_dkb(PlantedDkbParams(n1=30, n2=40, k1=10, k2=12, p=0.05, q=0.25, seed=0))
+    args = bipartite_complement_edges(inst.graph), 120.0, solver.default_gamma_bipartite(10, 12)
+    return solver._DerivedSweep(*args, 0.35, solver._svt_gram), args
+
+
+class TestDerivedSweep:
+    # n=60, k=10 does not recover and keeps 24 eigenpairs (the full
+    # eigensolve), k=20 recovers at kept rank 1 (the partial one), and the
+    # 30x40 SVT takes the Gram route on the transpose.  After the k=20
+    # solve converges its residuals fall to 1e-8, where rounding makes
+    # them differ beyond rtol; atol covers those rows only.
+    @pytest.mark.parametrize(
+        "instance",
+        [lambda: n60_square(10), lambda: n60_square(20), bipartite_30x40],
+        ids=["n60-k10", "n60-k20", "30x40"],
+    )
+    def test_matches_the_matrix_w_sweep(self, instance):
+        sweep, (nonedge, sum_target, gamma) = instance()
+        s = solver._Iterates(nonedge.shape, sum_target)
+        ref = {name: np.array(getattr(s, name)) for name in ("X", "Y", "Z", "LQ", "LZ")}
+        ref.update(W=s.X.copy(), LW=np.zeros(nonedge.shape))
+        rows, ref_rows = [], []
+        for _ in range(100):
+            rows.append(sweep(s))
+            ref_rows.append(matrix_w_sweep(ref, nonedge, sum_target, gamma, sweep.tau, sweep.shrink))
+        rows, ref_rows = np.array(rows), np.array(ref_rows)
+        np.testing.assert_allclose(rows[:, :2], ref_rows[:, :2], rtol=1e-9, atol=1e-12)
+        assert np.array_equal(rows[:, 2], ref_rows[:, 2])
+        assert np.abs(s.X - ref["X"]).max() <= 1e-12
+        assert np.abs(s.X + s.ws - ref["W"]).max() <= 1e-12
+        assert np.abs(s.lw - ref["LW"]).max() <= 1e-12
+
+    def test_non_finite_input_leaves_the_iterates_unchanged(self):
+        sweep, _ = n60_square(10)
+        s = solver._Iterates(sweep.shape, sweep.sum_target)
+        s.Z[3, 4] = np.inf
+        before = [np.array(getattr(s, name)) for name in ("X", "Y", "Z", "LQ", "LZ")]
+        assert sweep(s) is None
+        for a, b in zip(before, (s.X, s.Y, s.Z, s.LQ, s.LZ)):
+            assert np.array_equal(a, b)
+        assert s.ws == s.lw == 0.0
+
+    def test_anderson_state_round_trip(self):
+        g, k = criterion_3_trial_0()
+        nonedge = complement_edges(g)
+        sweep = solver._DerivedSweep(
+            nonedge, float(k * k), default_gamma(k), 0.35, solver._svt_symmetric
+        )
+        s = solver._Iterates(nonedge.shape, sweep.sum_target)
+        for _ in range(120):
+            assert sweep(s) is not None
+        z = np.empty(3 * sweep.size + 1)
+        sweep.pack(s, z)
+        back = solver._Iterates(nonedge.shape, sweep.sum_target)
+        sweep.unpack(z, back)
+        for name in ("X", "Y", "LQ", "Z", "LZ"):
+            a, b = getattr(s, name), getattr(back, name)
+            assert np.linalg.norm(b - a) <= 1e-14 * np.linalg.norm(a), name
+        assert back.ws == pytest.approx(s.ws, rel=1e-14)
+        assert back.lw == pytest.approx(s.lw, rel=1e-14)
+        assert z[-1] == pytest.approx(s.lw * np.sqrt(sweep.size), rel=1e-15)
 
 
 class TestSolveDkb:

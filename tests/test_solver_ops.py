@@ -33,6 +33,21 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.1)
 
+    @staticmethod
+    def branch_definition(x, phi):
+        """x - phi above phi, x + phi below -phi, 0 between, NaN for NaN."""
+        between = np.where(np.isnan(x), x, 0.0)
+        return np.where(x > phi, x - phi, np.where(x < -phi, x + phi, between))
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 2.0])
+    def test_non_finite_and_signed_zero_inputs(self, phi):
+        x = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 0.5, -0.5, 3.0, -3.0, 1e300, -1e-300])
+        expected = self.branch_definition(x, phi)
+        assert np.array_equal(soft_threshold(x, phi), expected, equal_nan=True)
+        out = np.full_like(x, 7.0)
+        assert soft_threshold(x, phi, out=out) is out
+        assert np.array_equal(out, expected, equal_nan=True)
+
 
 class TestSvt:
     def test_diagonal(self):
@@ -424,9 +439,11 @@ class TestOutArguments:
 
     def test_soft_threshold_out(self):
         x = np.random.default_rng(9).standard_normal((8, 8)) * 3
+        kept = x.copy()
         out = np.full_like(x, np.nan)
         assert soft_threshold(x, 0.7, out=out) is out
         assert np.array_equal(out, np.sign(x) * np.maximum(np.abs(x) - 0.7, 0.0))
+        assert np.array_equal(x, kept)
 
     def test_project_sum_and_clamp_box_in_place(self):
         A = np.random.default_rng(10).standard_normal((8, 8)) * 2
