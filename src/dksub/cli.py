@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, io, models, oracle, solver
-from .certificate import build_multipliers, verify
+from .certificate import build_multipliers, estimate_pq, verify
 from .solver import NumericalError, SolverConfig
 
 
@@ -64,11 +64,10 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        gamma=args.gamma, tau=args.tau, tol=args.tol,
-        max_iter=args.max_iter, mode=args.mode,
-    )
+def _solver_flags(args) -> dict:
+    """The solver flags that were given; SolverConfig supplies the rest."""
+    keys = ("gamma", "tau", "tol", "max_iter", "mode")
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _find_truth(args) -> Path | None:
@@ -80,7 +79,7 @@ def _find_truth(args) -> Path | None:
 
 def _cmd_solve(args) -> int:
     kind = io.sniff_kind(args.graph)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(**_solver_flags(args))
     truth_file = _find_truth(args)
     payload: dict = {}
     if kind == "graph":
@@ -138,9 +137,11 @@ def _cmd_certify(args) -> int:
     if truth_file is None:
         raise ValueError("certify needs a ground-truth sidecar (--ground-truth)")
     truth = io.read_ground_truth(truth_file)
-    planted = truth.subset(g)
+    inst = models.PlantedInstance(g, truth.subset(g))
     if args.estimate_pq:
-        p = q = None
+        if args.p is not None or args.q is not None:
+            raise ValueError("pass --p/--q or --estimate-pq, not both")
+        p, q = estimate_pq(inst)
     else:
         if (args.p is None) != (args.q is None):
             raise ValueError("pass --p and --q together")
@@ -148,15 +149,7 @@ def _cmd_certify(args) -> int:
         if pq is None:
             raise ValueError("no p/q in the sidecar; pass --p and --q or --estimate-pq")
         p, q = pq
-    stub = models.PlantedDksParams(
-        n=g.n, k=len(planted), p=p if p is not None else 0.0,
-        q=q if q is not None else 0.0, seed=0,
-    )
-    inst = models.PlantedInstance(g, planted, stub)
-    mult = build_multipliers(
-        inst, gamma=args.gamma, epsilon_slack=args.epsilon,
-        p=p, q=q, use_estimated_pq=args.estimate_pq,
-    )
+    mult = build_multipliers(inst, gamma=args.gamma, epsilon_slack=args.epsilon, p=p, q=q)
     report = verify(mult, inst)
     payload = dataclasses.asdict(report)
     payload["margins"] = {
@@ -201,14 +194,7 @@ def _phase_config(args) -> experiments.PhaseGridConfig:
     raw: dict = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    solver_raw = dict(raw.get("solver", {}))
-    for key, val in (
-        ("gamma", args.gamma), ("tau", args.tau),
-        ("tol", args.tol), ("max_iter", args.max_iter), ("mode", args.mode),
-    ):
-        if val is not None:
-            solver_raw[key] = val
-    cfg = SolverConfig(**solver_raw)
+    cfg = SolverConfig(**{**raw.get("solver", {}), **_solver_flags(args)})
     fields = {
         "n": args.n if args.n is not None else raw.get("n", 250),
         "q": args.q if args.q is not None else raw.get("q", 0.25),
@@ -247,7 +233,7 @@ def _cmd_phase(args) -> int:
 def _cmd_bench(args) -> int:
     params = models.PlantedDksParams(n=args.n, k=args.k, p=args.p, q=args.q, seed=args.seed)
     inst = models.sample_dks(params)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(**_solver_flags(args))
     start = time.perf_counter()
     result = solver.solve_dks(inst.graph, args.k, cfg)
     elapsed = time.perf_counter() - start
@@ -267,15 +253,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, with_defaults: bool = True) -> None:
-    p.add_argument("--gamma", type=float, default=None, help="l1 weight (default 6/k)")
-    p.add_argument("--tau", type=float, default=0.35 if with_defaults else None)
-    p.add_argument("--tol", type=float, default=1e-4 if with_defaults else None)
-    p.add_argument("--max-iter", type=int, default=5000 if with_defaults else None)
-    p.add_argument(
-        "--mode", choices=("paper", "derived"),
-        default="derived" if with_defaults else None,
-    )
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    # No defaults here: a flag left out keeps SolverConfig's default.
+    p.add_argument("--gamma", type=float, help="l1 weight (default 6/k)")
+    p.add_argument("--tau", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--mode", choices=("paper", "derived"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--out-csv")
     ph.add_argument("--out-svg")
     ph.add_argument("--out")
-    _add_solver_flags(ph, with_defaults=False)
+    _add_solver_flags(ph)
     ph.set_defaults(func=_cmd_phase)
 
     ben = sub.add_parser("bench", help="time one solve on a sampled instance")

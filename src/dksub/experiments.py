@@ -14,13 +14,13 @@ import csv
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .models import PlantedDksParams, child_seed, sample_dks
-from .solver import SolverConfig, _one_blas_thread, default_gamma, relative_error, solve_dks
+from .solver import SolverConfig, _one_blas_thread, relative_error, solve_dks
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,10 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
     p = cfg.p_values[p_idx]
     k = cfg.k_values[k_idx]
     seed = child_seed(cfg.master_seed, p_idx, k_idx, trial)
-    solver_cfg = cfg.solver
-    if solver_cfg.gamma is None:
-        solver_cfg = replace(solver_cfg, gamma=default_gamma(k))
     start = time.perf_counter()
     try:
         inst = sample_dks(PlantedDksParams(n=cfg.n, k=k, p=p, q=cfg.q, seed=seed))
-        result = solve_dks(inst.graph, k, solver_cfg)
+        result = solve_dks(inst.graph, k, cfg.solver)
         err = relative_error(result.X, inst.planted)
         if not np.isfinite(err):
             err = float("nan")

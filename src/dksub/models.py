@@ -111,17 +111,20 @@ class AdversarialInstanceParams:
 class PlantedInstance:
     graph: Graph
     planted: NodeSubset
-    params: Union[PlantedDksParams, AdversarialInstanceParams]
+    params: Union[PlantedDksParams, AdversarialInstanceParams, None] = None
 
     @property
     def k(self) -> int:
         return len(self.planted)
 
     def pq(self) -> tuple[float, float]:
-        """Generative (p, q); a corrupted instance reports its clean base."""
+        """Generative (p, q); a corrupted instance reports its clean base.
+        Raises ValueError for an instance without generative parameters."""
         params = self.params
         if isinstance(params, AdversarialInstanceParams):
             params = params.base
+        if params is None:
+            raise ValueError("instance has no generative parameters (p, q)")
         return params.p, params.q
 
 

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dksub.certificate
 from dksub.certificate import (
     CertificateInfeasibleError,
     build_multipliers,
@@ -24,7 +28,6 @@ from dksub.models import (
     sample_dks,
 )
 from dksub.oracle import brute_force_dks
-from dksub.solver import NumericalError
 
 
 def make_instance(n, k, p, q, seed=0):
@@ -172,11 +175,21 @@ class TestVerify:
         conjuncts = (
             report.stationarity_residual <= 1e-8
             and report.Wv_residual <= 1e-8
-            and report.W_spectral_norm < 1
+            and report.W_spectral_norm + report.W_norm_error_bound < 1
             and report.F_inf_norm < 1
             and report.min_M_on_block >= 0
         )
         assert report.valid_strict == conjuncts
+
+    def test_error_bound_decides_strict_norm(self, monkeypatch):
+        inst = make_instance(200, 60, 0.05, 0.1, seed=7)
+        mult = build_multipliers(inst)
+        delta = verify(mult, inst).W_norm_error_bound
+        assert 0.0 < delta < 1e-10
+        monkeypatch.setattr(dksub.certificate, "spectral_norm", lambda W: 1.0 - delta / 2)
+        assert not verify(mult, inst).valid_strict
+        monkeypatch.setattr(dksub.certificate, "spectral_norm", lambda W: 1.0 - 2 * delta)
+        assert verify(mult, inst).valid_strict
 
     def test_dimension_mismatch(self):
         inst_a = make_instance(30, 10, 0.1, 0.1, seed=0)
@@ -216,8 +229,29 @@ class TestEstimatePq:
 
     def test_certificate_from_estimates(self):
         inst = make_instance(200, 60, 0.05, 0.1, seed=3)
-        mult = build_multipliers(inst, use_estimated_pq=True)
+        p, q = estimate_pq(inst)
+        mult = build_multipliers(inst, p=p, q=q)
         assert verify(mult, inst).stationarity_residual <= 1e-10
+
+
+@st.composite
+def norm_cases(draw):
+    """Symmetric, non-symmetric and rectangular matrices from 1x1 to 40x60,
+    plus zero matrices and a symmetric matrix whose top eigenvector is
+    orthogonal to the all-ones vector."""
+    kind = draw(st.sampled_from(("symmetric", "square", "rectangular", "zero", "orthogonal")))
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 60)) if kind in ("rectangular", "zero") else m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "orthogonal":
+        m = 2 * max(m // 2, 1)
+        u = np.tile([1.0, -1.0], m // 2) / np.sqrt(m)
+        B = rng.standard_normal((m, m))
+        return 3.0 * np.outer(u, u) + 0.1 * (B + B.T) / np.sqrt(m)
+    A = rng.standard_normal((m, n))
+    return A + A.T if kind == "symmetric" else A
 
 
 class TestSpectralNorm:
@@ -254,11 +288,10 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_budget_exhaustion_raises(self):
-        rng = np.random.default_rng(12)
-        M = rng.standard_normal((30, 30))
-        with pytest.raises(NumericalError):
-            spectral_norm(M, rtol=1e-15, max_iter=3)
+    @settings(max_examples=200, deadline=None)
+    @given(norm_cases())
+    def test_matches_svdvals(self, M):
+        assert spectral_norm(M) == pytest.approx(scipy.linalg.svdvals(M)[0], rel=1e-12, abs=0.0)
 
 
 class TestYBound:

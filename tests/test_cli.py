@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dksub import solver
-from dksub.cli import main
+from dksub.cli import _solver_flags, build_parser, main
 from dksub.io import read_graph, truth_path
 
 
@@ -153,6 +153,20 @@ class TestCertify:
         )
         assert rc == 0
 
+    def test_estimate_pq(self, tmp_path):
+        out = generate_dks(tmp_path, n=40, k=16, p=0.1, q=0.1, seed=5)
+        result_file = tmp_path / "cert.json"
+        assert run(["certify", "--graph", out, "--estimate-pq", "--out", result_file]) == 0
+        payload = json.loads(result_file.read_text(encoding="utf-8"))
+        assert payload["stationarity_residual"] <= 1e-10
+        assert 0.0 < payload["W_norm_error_bound"] < 1e-10
+
+    def test_estimate_pq_with_explicit_pq_is_bad_input(self, tmp_path, capsys):
+        out = generate_dks(tmp_path, n=40, k=16)
+        rc = run(["certify", "--graph", out, "--estimate-pq", "--p", 0.1, "--q", 0.1])
+        assert rc == 2
+        assert "not both" in capsys.readouterr().err
+
     def test_requires_sidecar(self, tmp_path):
         out = generate_dks(tmp_path)
         truth_path(out).unlink()
@@ -212,6 +226,17 @@ class TestPhase:
         config = tmp_path / "broken.json"
         config.write_text("{not json", encoding="utf-8")
         assert run(["phase", "--config", config]) == 2
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("argv", [["solve", "--graph", "g.txt"], ["bench"]])
+    def test_no_flags_give_solver_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert solver.SolverConfig(**_solver_flags(args)) == solver.SolverConfig()
+
+    def test_flags_override(self):
+        args = build_parser().parse_args(["bench", "--tau", "0.5", "--mode", "paper"])
+        assert _solver_flags(args) == {"tau": 0.5, "mode": "paper"}
 
 
 class TestBench:

@@ -9,6 +9,7 @@ from dksub.models import (
     BudgetError,
     PlantedDkbParams,
     PlantedDksParams,
+    PlantedInstance,
     child_seed,
     corrupt_adversarial,
     degree_profile,
@@ -48,6 +49,11 @@ class TestSampleDks:
         block = inst.graph.adj[np.ix_(mask, mask)]
         assert np.array_equal(block, ~np.eye(8, dtype=bool))
         assert inst.graph.edge_count == 28
+
+    def test_pq_without_params_rejected(self):
+        inst = sample_dks(PlantedDksParams(n=12, k=4, p=0.1, q=0.1, seed=0))
+        with pytest.raises(ValueError, match="no generative parameters"):
+            PlantedInstance(inst.graph, inst.planted).pq()
 
     def test_complement_extreme(self):
         # p=1, q=1: planted set independent, every other pair present
