@@ -194,6 +194,8 @@ def _phase_config(args) -> experiments.PhaseGridConfig:
     raw: dict = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: the config must be a JSON object")
     cfg = SolverConfig(**{**raw.get("solver", {}), **_solver_flags(args)})
     fields = {
         "n": args.n if args.n is not None else raw.get("n", 250),

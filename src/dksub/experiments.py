@@ -43,6 +43,8 @@ class PhaseGridConfig:
             raise ValueError("p and k grids must be nonempty")
         if any(not 1 <= k <= self.n for k in self.k_values):
             raise ValueError("every k must satisfy 1 <= k <= n")
+        if not (0.0 <= self.q <= 1.0 and all(0.0 <= p <= 1.0 for p in self.p_values)):
+            raise ValueError("p and q must lie in [0, 1]")
         if any(p + self.q >= 1 for p in self.p_values):
             warnings.warn("some cells have p + q >= 1; recovery is not expected there")
 

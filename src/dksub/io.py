@@ -27,27 +27,35 @@ def write_graph(g: Graph, path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def read_graph(path: str | Path) -> Graph:
+def _read_edge_list(path: str | Path, header: str, ordered: bool) -> tuple[list[int], list]:
+    """The header's sizes and the edge pairs of an edge-list file whose first
+    data line is `header` (its last field the edge count M), checked against M
+    and for duplicates; with ordered=True every edge must satisfy u < v."""
     lines = _data_lines(Path(path))
     if not lines:
         raise ValueError(f"{path}: empty graph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: expected header 'N M', got {lines[0]!r}")
-    n, m = (int(t) for t in header)
+    fields = lines[0].split()
+    if len(fields) != len(header.split()):
+        raise ValueError(f"{path}: expected header {header!r}, got {lines[0]!r}")
+    *sizes, m = (int(t) for t in fields)
     edges = []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}: bad edge line {line!r}")
         u, v = int(parts[0]), int(parts[1])
-        if not u < v:
+        if ordered and not u < v:
             raise ValueError(f"{path}: edge endpoints must satisfy u < v, got {line!r}")
         edges.append((u, v))
     if len(edges) != m:
         raise ValueError(f"{path}: header declares {m} edges, found {len(edges)}")
     if len(set(edges)) != len(edges):
         raise ValueError(f"{path}: duplicate edges")
+    return sizes, edges
+
+
+def read_graph(path: str | Path) -> Graph:
+    (n,), edges = _read_edge_list(path, "N M", ordered=True)
     return Graph.from_edges(n, edges)
 
 
@@ -59,23 +67,7 @@ def write_bipartite(g: BipartiteGraph, path: str | Path) -> None:
 
 
 def read_bipartite(path: str | Path) -> BipartiteGraph:
-    lines = _data_lines(Path(path))
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"{path}: expected header 'N1 N2 M', got {lines[0]!r}")
-    n1, n2, m = (int(t) for t in header)
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    if len(edges) != m:
-        raise ValueError(f"{path}: header declares {m} edges, found {len(edges)}")
-    if len(set(edges)) != len(edges):
-        raise ValueError(f"{path}: duplicate edges")
+    (n1, n2), edges = _read_edge_list(path, "N1 N2 M", ordered=False)
     return BipartiteGraph.from_edges(n1, n2, edges)
 
 

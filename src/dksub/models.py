@@ -156,11 +156,9 @@ def sample_dks(params: PlantedDksParams, permute: bool = True) -> PlantedInstanc
     rng = stream_rng(params.seed)
     n, k = params.n, params.k
     u = rng.random((n, n))
-    iu, iv = np.triu_indices(n, 1)
-    inside = (iu < k) & (iv < k)
-    thresh = np.where(inside, 1.0 - params.q, params.p)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu, iv] = u[iu, iv] < thresh
+    thresh = np.full((n, n), params.p)
+    thresh[:k, :k] = 1.0 - params.q
+    adj = np.triu(u < thresh, 1)
     adj |= adj.T
     if permute:
         perm = rng.permutation(n)

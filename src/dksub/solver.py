@@ -64,12 +64,12 @@ class SolverConfig:
     mode: str = "derived"
 
     def __post_init__(self):
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.mode not in ("paper", "derived"):

@@ -127,6 +127,13 @@ class TestSolve:
     def test_missing_file_is_bad_input(self, tmp_path):
         assert run(["solve", "--graph", tmp_path / "nope.txt", "--k", 3]) == 2
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--tau", "--tol"])
+    def test_non_finite_solver_flag_is_bad_input(self, tmp_path, capsys, flag):
+        out = generate_dks(tmp_path)
+        capsys.readouterr()
+        assert run(["solve", "--graph", out, "--k", 8, flag, "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unallocatable_node_count_is_bad_input(self, tmp_path, capsys):
         graph_file = tmp_path / "huge.txt"
         graph_file.write_text("100000000 0\n", encoding="utf-8")
@@ -226,6 +233,22 @@ class TestPhase:
         config = tmp_path / "broken.json"
         config.write_text("{not json", encoding="utf-8")
         assert run(["phase", "--config", config]) == 2
+
+    def test_non_object_config_is_bad_input(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        assert run(["phase", "--config", config]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--p-list", -0.5], ["--p-list", 0.0, 1.5], ["--q", 1.5], ["--q", -0.1]]
+    )
+    def test_probability_out_of_range_is_bad_input(self, capsys, flags):
+        argv = ["phase", "--n", 10, "--k-list", 3, "--trials", 2, "--jobs", 1, *flags]
+        if "--p-list" not in flags:
+            argv += ["--p-list", 0.0]
+        assert run(argv) == 2
+        assert "must lie in [0, 1]" in capsys.readouterr().err
 
 
 class TestSolverFlags:

@@ -1,8 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from dksub import oracle
 from dksub.graphs import BipartiteGraph, Graph, NodeSubset
 from dksub.models import PlantedDksParams, sample_dks
 from dksub.oracle import (
@@ -107,6 +109,38 @@ class TestBruteForceDkb:
         with pytest.raises(SizeGuardError):
             brute_force_dkb(g, 15, 15)
 
+    @pytest.mark.parametrize(
+        "n1,n2,k1,k2,p",
+        [
+            (5, 9, 2, 3, 0.4),    # C1 < C2: loops over U subsets
+            (9, 5, 3, 2, 0.4),    # C1 > C2: loops over V subsets
+            (7, 7, 3, 3, 0.5),    # C1 = C2
+            (6, 8, 2, 4, 1.0),    # complete: every pair is optimal
+            (8, 6, 4, 2, 1.0),
+            (7, 7, 3, 3, 0.0),    # edgeless: every pair is optimal
+            (2, 20, 1, 6, 1.0),   # the larger side spans three scored blocks
+            (20, 2, 6, 1, 0.9),
+        ],
+    )
+    def test_matches_naive_enumeration(self, n1, n2, k1, k2, p):
+        rng = np.random.default_rng(n1 * 100 + n2)
+        g = BipartiteGraph(n1, n2, rng.random((n1, n2)) < p)
+        rows = g.biadj.tolist()
+        best = -1
+        argmax = []
+        for vsub in combinations(range(n2), k2):
+            for usub in combinations(range(n1), k1):
+                edges = sum(rows[u][v] for u in usub for v in vsub)
+                if edges > best:
+                    best, argmax = edges, [(usub, vsub)]
+                elif edges == best:
+                    argmax.append((usub, vsub))
+        result = brute_force_dkb(g, k1, k2)
+        assert result.best_edge_count == best
+        assert type(result.best_edge_count) is int
+        assert result.unique == (len(argmax) == 1)
+        assert [(su.members, sv.members) for su, sv in result.optimal_subsets] == argmax
+
 
 class TestRestrictedRelaxationValue:
     def test_planted_clique_value_is_k(self):
@@ -138,6 +172,21 @@ class TestRestrictedRelaxationValue:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             restricted_relaxation_value(cycle_graph(5), 3, gamma=0.0)
+
+
+class TestManyBlocks:
+    def test_edgeless_graph_returns_every_subset_in_order(self):
+        # 24,310 subsets: more than one scored block
+        n, k = 17, 8
+        assert math.comb(n, k) > oracle._BLOCK
+        g = Graph(n, np.zeros((n, n), dtype=bool))
+        expected = list(combinations(range(n), k))
+        result = brute_force_dks(g, k)
+        assert result.best_edge_count == 0
+        assert [s.members for s in result.optimal_subsets] == expected
+        value, argmin = restricted_relaxation_value(g, k, gamma=1.0)
+        assert value == k + 2 * math.comb(k, 2)
+        assert [s.members for s in argmin] == expected
 
 
 class TestSolverOracleConsistency:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -135,6 +137,10 @@ class TestSolveDks:
             SolverConfig(tau=0.0)
         with pytest.raises(ValueError):
             SolverConfig(mode="other")
+        for field in ("gamma", "tau", "tol"):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    SolverConfig(**{field: bad})
 
 
 def criterion_3_trial_0():
