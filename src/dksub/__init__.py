@@ -10,7 +10,6 @@ from .graphs import (
     Graph,
     NodeSubset,
     bipartite_complement_edges,
-    bipartite_proposed_solution,
     complement_edges,
     density,
     density_identity_check,

@@ -11,6 +11,7 @@ carry an error tag; they never abort the grid.
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +46,8 @@ class PhaseGridConfig:
             raise ValueError("every k must satisfy 1 <= k <= n")
         if not (0.0 <= self.q <= 1.0 and all(0.0 <= p <= 1.0 for p in self.p_values)):
             raise ValueError("p and q must lie in [0, 1]")
+        if not 0.0 < self.recovery_tol < math.inf:
+            raise ValueError("recovery_tol must be positive and finite")
         if any(p + self.q >= 1 for p in self.p_values):
             warnings.warn("some cells have p + q >= 1; recovery is not expected there")
 

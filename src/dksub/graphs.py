@@ -175,17 +175,6 @@ def proposed_solution(g: Graph, s: NodeSubset) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def bipartite_proposed_solution(
-    g: BipartiteGraph, su: NodeSubset, sv: NodeSubset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bipartite analogue of :func:`proposed_solution`: X = u v^T, Y = -P(X)."""
-    if len(su) == 0 or len(sv) == 0:
-        raise ValueError("subsets must be nonempty")
-    X = np.outer(su.indicator(), sv.indicator())
-    Y = np.where(bipartite_complement_edges(g), -X, 0.0)
-    return X, Y
-
-
 def density_identity_check(g: Graph, s: NodeSubset) -> tuple[float, float]:
     """Both sides of the identity tying induced density to the correction size.
 

@@ -176,17 +176,6 @@ def _finite_top(M: np.ndarray) -> float:
     return top
 
 
-def _power_of_two_scale(top: float, lo: float, hi: float) -> float:
-    """1.0 when top is 0 or lies in [lo, hi], else the power of two that
-    brings it to just inside.  Scaling by a power of two is exact; scaling
-    further than needed would turn the small entries subnormal, and
-    subnormal arithmetic is slow."""
-    if top == 0.0 or lo <= top <= hi:
-        return 1.0
-    edge = 4.0 * lo if top < lo else hi / 4.0
-    return math.ldexp(1.0, math.frexp(edge)[1] - math.frexp(top)[1])
-
-
 def _svt_symmetric(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
     """svt() specialized to symmetric input, and the number of eigenvalues it
     kept: the eigenpairs outside [-phi, phi], each eigenvalue shrunk toward
@@ -207,8 +196,9 @@ def _svt_gram(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
     their eigenvectors V, svt(M, phi) = ((M V) diag(1 - phi/sqrt(w))) V'.
     _eigenpairs_outside finds them; G is positive semidefinite, so its
     search of the lower tail, below -phi^2, ends at an empty Sturm count.
-    M is first scaled by a power of two so that G can neither overflow nor
-    underflow.
+    G could overflow or underflow when the largest entry of M is nonzero and
+    outside [sqrt(min), sqrt(max/m)], for syevd's safe range [min, max]; such
+    M takes the exact svt() instead, and gesdd rescales it itself.
 
     Accuracy rule: rounding G perturbs it by about eps ||M||^2, which the
     shrink factor's slope near phi^2 turns into an error of about
@@ -229,10 +219,11 @@ def _svt_gram(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
         return X.T, kept
     m, n = M.shape
     # entries in [sqrt(min), sqrt(max/m)] put G's entries in syevd's safe range
-    scale = _power_of_two_scale(_finite_top(M), math.sqrt(_SCALE_MIN), math.sqrt(_SCALE_MAX / m))
-    Ms = M * scale if scale != 1.0 else M
-    G = Ms.T @ Ms
-    cut = (phi * scale) * (phi * scale)
+    top = _finite_top(M)
+    if top != 0.0 and not math.sqrt(_SCALE_MIN) <= top <= math.sqrt(_SCALE_MAX / m):
+        return _svt(M, phi)
+    G = M.T @ M
+    cut = phi * phi
     trace = float(np.trace(G))  # ||M||_F^2, at least the largest eigenvalue
     if cut >= trace:
         return np.zeros((m, n)), 0
@@ -241,9 +232,7 @@ def _svt_gram(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
     w, V = _eigenpairs_outside(G, cut)
     kept = w > cut
     w, V = w[kept], V[:, kept]
-    X = ((Ms @ V) * (1.0 - (phi * scale) / np.sqrt(w))) @ V.T
-    if scale != 1.0:
-        X /= scale
+    X = ((M @ V) * (1.0 - phi / np.sqrt(w))) @ V.T
     return X, int(w.size)
 
 
@@ -252,12 +241,15 @@ def _eigenpairs_outside(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarr
     include every eigenvalue outside [-phi, phi].  The paths that decompose
     M fully return all n pairs, the others only those outside.
 
-    Below order 32 this is one dsyevd call.  Otherwise one Householder
-    reduction M = Q T Q' (dsytrd) serves both tails of the spectrum: a Sturm
-    count on T gives the number of eigenvalues outside [-phi, phi], bisection
-    (dstebz) finds them, inverse iteration (dstein) gives their vectors, and
-    only those vectors are carried back through Q.  This is LAPACK's syevx
-    pipeline with the O(n^3) reduction done once.
+    Below order 32 this is one dsyevd call, and so it is when the largest
+    entry of M is nonzero and outside syevd's safe range [_SCALE_MIN,
+    _SCALE_MAX]: there squares over- or underflow (divergent paper-mode
+    iterates pass 1e150), and dsyevd rescales such input itself.  Otherwise
+    one Householder reduction M = Q T Q' (dsytrd) serves both tails of the
+    spectrum: a Sturm count on T gives the number of eigenvalues outside
+    [-phi, phi], bisection (dstebz) finds them, inverse iteration (dstein)
+    gives their vectors, and only those vectors are carried back through Q.
+    This is LAPACK's syevx pipeline with the O(n^3) reduction done once.
 
     When more than n/5 eigenpairs are kept, it is cheaper to finish the full
     decomposition from the same reduction by divide and conquer (dstevd, then
@@ -267,13 +259,8 @@ def _eigenpairs_outside(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarr
     inverse iteration fails to converge.
     """
     n = M.shape[0]
-    scale = _power_of_two_scale(_finite_top(M), _SCALE_MIN, _SCALE_MAX)
-    if scale != 1.0:
-        # outside syevd's safe range squares over- or underflow (divergent
-        # paper-mode iterates pass 1e150)
-        w, Z = _eigenpairs_outside(M * scale, phi * scale)
-        return w / scale, Z
-    if n < _SMALL_ORDER:
+    top = _finite_top(M)
+    if n < _SMALL_ORDER or not (top == 0.0 or _SCALE_MIN <= top <= _SCALE_MAX):
         *pairs, info = lapack.dsyevd(M, lower=1)
         _lapack_ok(info, "dsyevd", n)
         return tuple(pairs)
@@ -344,12 +331,11 @@ def _apply_q(c: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return QZ
 
 
-def project_sum(Wt: np.ndarray, target: float, out: np.ndarray | None = None) -> np.ndarray:
+def project_sum(Wt: np.ndarray, target: float) -> np.ndarray:
     """Shift by a constant so the entries sum to target (projection onto the
-    sum constraint).  out may be Wt itself."""
+    sum constraint)."""
     Wt = np.asarray(Wt, dtype=float)
-    beta = (target - Wt.sum()) / Wt.size
-    return np.add(Wt, beta, out=out)
+    return Wt + (target - Wt.sum()) / Wt.size
 
 
 def clamp_box(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -651,10 +637,11 @@ def _anderson_phase(sweep: _DerivedSweep, a: _Iterates, sweeps: _Sweeps) -> _Ite
     (2020); returns the iterates of the current state.
 
     Each candidate z~ is checked with one exact sweep, and accepted only if
-    ||F(z~) - z~|| <= ||F(z) - z|| at the current point z.  Otherwise the
-    memory is cleared and the plain step z <- F(z) is taken.  Every sweep,
-    a rejected candidate's included, is recorded and counts toward max_iter;
-    the stop rule reads the sweeps at the current state only.
+    ||F(z~) - z~|| <= ||F(z) - z|| at the current point z.  Otherwise, or
+    when z~ gives a non-finite X-step input, the memory is cleared and the
+    plain step z <- F(z) is taken.  Every sweep, a rejected candidate's
+    included, is recorded and counts toward max_iter; the stop rule reads
+    the sweeps at the current state only.
     """
     length = 3 * sweep.size + 1
     memory = _AndersonMemory(length, _ANDERSON_MEMORY)
@@ -672,19 +659,20 @@ def _anderson_phase(sweep: _DerivedSweep, a: _Iterates, sweeps: _Sweeps) -> _Ite
             if z_cand is not None:
                 sweep.unpack(z_cand, b)
                 out = sweep(b)
-                if out is None:
-                    break
-                sweep.pack(b, f_cand)
-                np.subtract(z_cand, f_cand, out=g_cand)
-                cand_norm = math.sqrt(g_cand @ g_cand)
-                if cand_norm <= g_norm:
-                    sweeps.add(*out, ACCEPTED)
-                    a, b = b, a
-                    f_prev, f, f_cand = f, f_cand, f_prev
-                    g_prev, g, g_cand = g, g_cand, g_prev
-                    g_norm = cand_norm
-                    continue
-                sweeps.add(*out, REJECTED)
+                # a candidate whose X-step input is not finite ran no SVT and
+                # gets no row, but is rejected like any other
+                if out is not None:
+                    sweep.pack(b, f_cand)
+                    np.subtract(z_cand, f_cand, out=g_cand)
+                    cand_norm = math.sqrt(g_cand @ g_cand)
+                    if cand_norm <= g_norm:
+                        sweeps.add(*out, ACCEPTED)
+                        a, b = b, a
+                        f_prev, f, f_cand = f, f_cand, f_prev
+                        g_prev, g, g_cand = g, g_cand, g_prev
+                        g_norm = cand_norm
+                        continue
+                    sweeps.add(*out, REJECTED)
                 memory.clear()
                 if sweeps.done:
                     break
@@ -752,7 +740,10 @@ def _admm(
 
 
 def _paper_loop(nonedge, sum_target, gamma, tau, shrink, sweeps: _Sweeps):
-    """The verbatim `paper` sweeps; returns the final X and Y."""
+    """The verbatim `paper` sweeps; returns the final X and Y.  The loop
+    stops after the first sweep whose residuals are not finite (the
+    sum-constraint dual grows without bound, and at n=250 its norms overflow
+    near sweep 250), or at a non-finite X-step input."""
     norm = np.linalg.norm
     keep = ~nonedge  # support of Q: edges (plus the diagonal in the square case)
     X = np.full(nonedge.shape, sum_target / nonedge.size)
@@ -786,6 +777,8 @@ def _paper_loop(nonedge, sum_target, gamma, tau, shrink, sweeps: _Sweeps):
         )
         X, Y, W, Z, LQ, LW, LZ = Xn, Yn, Wn, Zn, LQn, LWn, LZn
         sweeps.add(rp, rd, rank)
+        if not (math.isfinite(rp) and math.isfinite(rd)):
+            break
     return X, Y
 
 

@@ -240,6 +240,12 @@ class TestPhase:
         assert run(["phase", "--config", config]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_recovery_tol_out_of_range_is_bad_input(self, tmp_path, capsys):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"n": 10, "recovery_tol": -1}), encoding="utf-8")
+        assert run(["phase", "--config", config, "--k-list", 3, "--jobs", 1]) == 2
+        assert "recovery_tol must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags", [["--p-list", -0.5], ["--p-list", 0.0, 1.5], ["--q", 1.5], ["--q", -0.1]]
     )

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -38,6 +39,11 @@ class TestConfigValidation:
             tiny_config(trials=0)
         with pytest.raises(ValueError):
             tiny_config(k_values=(40,))
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_recovery_tol_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="recovery_tol"):
+            tiny_config(recovery_tol=tol)
 
     def test_warns_when_p_plus_q_too_big(self):
         with pytest.warns(UserWarning, match="p \\+ q"):

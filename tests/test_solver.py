@@ -98,6 +98,14 @@ class TestSolveDks:
         assert np.array_equal(a.residual_history, b.residual_history)
         assert a.iterations >= 1
 
+    def test_paper_mode_stops_at_its_first_non_finite_residual(self):
+        inst = sample_dks(PlantedDksParams(n=30, k=12, p=0.0, q=0.0, seed=2))
+        result = solve_dks(inst.graph, 12, SolverConfig(mode="paper", max_iter=2000))
+        finite = np.isfinite(result.residual_history).all(axis=1)
+        assert result.iterations == 252
+        assert finite[:251].all() and not finite[251]
+        assert not result.converged and not result.hit_cap
+
     def test_svt_rank_is_one_at_convergence(self):
         inst = sample_dks(PlantedDksParams(n=50, k=20, p=0.0, q=0.0, seed=4))
         result = solve_dks(inst.graph, 20)
@@ -196,6 +204,30 @@ class TestAnderson:
             mixed.residual_history[kinds == PLAIN],
             plain.residual_history[: (kinds == PLAIN).sum()],
         )
+
+    def test_non_finite_candidate_gives_the_plain_step_and_no_row(self, monkeypatch):
+        g, k = criterion_3_trial_0()
+        start = solver._ANDERSON_START
+        memory_sizes = []
+        mixing = solver._mixing_coefficients
+
+        def overflowing_once(gram, rhs):
+            memory_sizes.append(rhs.size)
+            if len(memory_sizes) == 1:
+                return np.full(rhs.size, 1e300)
+            return mixing(gram, rhs)
+
+        monkeypatch.setattr(solver, "_mixing_coefficients", overflowing_once)
+        mixed = solve_dks(g, k)
+        # the first candidate comes after two plain sweeps of the Anderson
+        # phase; it runs no SVT, and the plain step is the next row
+        monkeypatch.setattr(solver, "_ANDERSON_START", start + 3)
+        plain = solve_dks(g, k, SolverConfig(max_iter=start + 3))
+        assert mixed.converged and not mixed.hit_cap
+        assert (mixed.sweep_kind[: start + 3] == PLAIN).all()
+        assert np.array_equal(mixed.residual_history[: start + 3], plain.residual_history)
+        # the memory was cleared: the next candidate mixes one secant pair
+        assert memory_sizes[:2] == [1, 1]
 
     def test_accelerated_solve_is_feasible_and_meets_the_stop_rule(self):
         g, k = criterion_3_trial_0()

@@ -208,6 +208,19 @@ class TestSvtSymmetric:
         assert kept == 4
         assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [40, 250])
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_out_of_range_input_is_one_dsyevd_call(self, monkeypatch, n, size):
+        # dsyevd rescales input outside its safe range; the reduction
+        # pipeline would square it
+        w = np.concatenate([[5.0, -3.0, 2.5], np.linspace(-0.2, 0.2, n - 3)])
+        M = symmetric_with_spectrum(w, n)
+        calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dsytrd")}
+        X, kept = _svt_symmetric(M * size, 0.3 * size)
+        assert kept == 3
+        assert calls == {"dsyevd": ["dsyevd"], "dsytrd": []}
+        assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
+
     def test_few_kept_pairs_take_inverse_iteration(self, monkeypatch):
         w = np.concatenate([[6.0, -5.0], np.linspace(-0.5, 0.5, 58)])
         M = symmetric_with_spectrum(w, 1)
@@ -365,6 +378,25 @@ class TestSvtGram:
         assert kept == 4
         assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60), (6, 40)])
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_out_of_range_input_takes_the_exact_svt(self, monkeypatch, shape, size):
+        # G would over- or underflow; gesdd rescales M itself
+        s = np.array([5.0, 3.0, 0.2, 0.1, 0.4, 2.5])
+        M = matrix_with_singular_values(s, shape, 12) * size
+        calls = []
+        exact = solver._svt
+
+        def recorded(A, phi):
+            calls.append(phi)
+            return exact(A, phi)
+
+        monkeypatch.setattr(solver, "_svt", recorded)
+        eig_calls = [spy(monkeypatch, name) for name in ("dsyevd", "dsytrd")]
+        X, kept = _svt_gram(M, 0.3 * size)
+        assert kept == 4 and calls == [0.3 * size] and eig_calls == [[], []]
+        assert np.allclose(X / size, svt(M / size, 0.3), rtol=0.0, atol=1e-10)
+
     @pytest.mark.parametrize(
         "shape,kept,routine",
         [
@@ -445,12 +477,10 @@ class TestOutArguments:
         assert np.array_equal(out, np.sign(x) * np.maximum(np.abs(x) - 0.7, 0.0))
         assert np.array_equal(x, kept)
 
-    def test_project_sum_and_clamp_box_in_place(self):
+    def test_clamp_box_in_place(self):
         A = np.random.default_rng(10).standard_normal((8, 8)) * 2
-        expected_sum, expected_box = project_sum(A, 3.0), clamp_box(A)
-        B, C = A.copy(), A.copy()
-        assert project_sum(B, 3.0, out=B) is B and np.array_equal(B, expected_sum)
-        assert clamp_box(C, out=C) is C and np.array_equal(C, expected_box)
+        expected = clamp_box(A)
+        assert clamp_box(A, out=A) is A and np.array_equal(A, expected)
 
 
 class TestClampBox:
