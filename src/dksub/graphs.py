@@ -104,6 +104,15 @@ class NodeSubset:
             raise ValueError(f"subset members out of range for n={self.n}")
         object.__setattr__(self, "members", members)
 
+    @classmethod
+    def _trusted(cls, members: tuple[int, ...], n: int) -> NodeSubset:
+        """A subset from members already sorted, distinct and in range(n),
+        built without the checks (the oracle makes tens of thousands)."""
+        subset = object.__new__(cls)
+        object.__setattr__(subset, "members", members)
+        object.__setattr__(subset, "n", n)
+        return subset
+
     def __len__(self) -> int:
         return len(self.members)
 

@@ -75,7 +75,7 @@ def brute_force_dks(g: Graph, k: int) -> OracleResult:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     _check_guard(math.comb(g.n, k), f"C({g.n},{k})")
     best, subsets = _best_k_subsets(g.adj, k)
-    optimal = [NodeSubset(s, g.n) for s in subsets]
+    optimal = [NodeSubset._trusted(tuple(s), g.n) for s in subsets]
     return OracleResult(best_edge_count=best, optimal_subsets=optimal, unique=len(optimal) == 1)
 
 
@@ -106,7 +106,10 @@ def brute_force_dkb(g: BipartiteGraph, k1: int, k2: int) -> OracleResult:
             hits = rows[scores == top].tolist()
             out.extend(zip(hits, repeat(sub)) if loop_u else zip(repeat(sub), hits))
     out.sort()
-    optimal = [(NodeSubset(us, g.n1), NodeSubset(vs, g.n2)) for vs, us in out]
+    optimal = [
+        (NodeSubset._trusted(tuple(us), g.n1), NodeSubset._trusted(tuple(vs), g.n2))
+        for vs, us in out
+    ]
     return OracleResult(best_edge_count=best, optimal_subsets=optimal, unique=len(optimal) == 1)
 
 
@@ -129,4 +132,4 @@ def restricted_relaxation_value(
     comp = ~g.adj & ~np.eye(g.n, dtype=bool)
     min_nonedges, argmin = _best_k_subsets(comp, k, sign=-1)
     value = k + gamma * (2 * min_nonedges)  # ||Y||_1 counts ordered pairs
-    return value, [NodeSubset(s, g.n) for s in argmin]
+    return value, [NodeSubset._trusted(tuple(s), g.n) for s in argmin]

@@ -18,12 +18,13 @@ around admits two readings that do not agree:
 * ``derived`` (default): every primal update is the exact minimizer of the
   augmented Lagrangian with penalty tau.  X is a singular value thresholding
   step at 1/(3*tau) applied to the average of (Q - Y - U_Q), (W - U_W) and
-  (Z - U_Z), Y is entrywise soft thresholding at gamma/tau, and the duals
-  are kept in scaled form (U = Lambda/tau).  The projection onto the sum
-  constraint only shifts, so W is X plus a constant and U_W is a constant:
-  the sweep holds both as scalars (see _DerivedSweep).  A solve still
-  unconverged after 100 sweeps continues under safeguarded Anderson
-  acceleration (see _anderson_phase).
+  (Z - U_Z); while the previous sweep kept one pair, that step is first
+  tried as a proved rank-one step (see _lone_pair).  Y is entrywise soft
+  thresholding at gamma/tau, and the duals are kept in scaled form
+  (U = Lambda/tau).  The projection onto the sum constraint only shifts, so
+  W is X plus a constant and U_W is a constant: the sweep holds both as
+  scalars (see _DerivedSweep).  A solve still unconverged after 100 sweeps
+  continues under safeguarded Anderson acceleration (see _anderson_phase).
 * ``paper``: the alternative printed recipe, kept verbatim for comparison:
   X via thresholding at tau of Q + 2X - Z - W - Lambda_W, Y via
   S_{tau*gamma}(Y - tau*Q), unscaled duals, and the Q/dual updates projected
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .graphs import BipartiteGraph, Graph, NodeSubset, complement_edges, bipartite_complement_edges
 
@@ -160,7 +161,12 @@ _SCALE_MAX = 1.0 / _SCALE_MIN
 # _eigenpairs_outside: per call on real iterates it was faster at n=14 and
 # 20, level at 28-40 and slower at 60
 _SMALL_ORDER = 32
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
+# the power steps of the rank-one SVT: at most _POWER_STEPS, each cutting
+# the residual by at least the factor _POWER_RATE
+_POWER_STEPS = 30
+_POWER_RATE = 0.5
 
 
 def _lapack_ok(info: int, routine: str, n: int) -> None:
@@ -176,18 +182,41 @@ def _finite_top(M: np.ndarray) -> float:
     return top
 
 
-def _svt_symmetric(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
+def _svt_symmetric(
+    M: np.ndarray, phi: float, lead: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """svt() specialized to symmetric input, and the number of eigenvalues it
     kept: the eigenpairs outside [-phi, phi], each eigenvalue shrunk toward
-    zero by phi.  Only the lower triangle is read."""
+    zero by phi.  Only the lower triangle is read.
+
+    lead, when given, is an in/out buffer of length n for a sequence of
+    calls on slowly changing M.  A nonzero lead is the unit vector that a
+    rank-one SVT (_lone_pair) starts from; that route is tried first, from
+    order _SMALL_ORDER on and for M in syevd's safe range.  On return lead
+    holds the kept eigenvector when exactly one pair was kept, and zeros
+    otherwise.
+    """
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
-    w, Z = _eigenpairs_outside(np.asarray(M, dtype=float), phi)
+    M = np.asarray(M, dtype=float)
+    start = _warm_start(lead, M.shape[0])
+    if start is not None and _SCALE_MIN <= _finite_top(M) <= _SCALE_MAX:
+        pair = _lone_pair(M, phi, start, both_tails=True)
+        if pair is not None:
+            theta, v = pair
+            lead[:] = v
+            return np.outer((theta - math.copysign(phi, theta)) * v, v), 1
+    w, Z = _eigenpairs_outside(M, phi)
     s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
-    return (Z * s) @ Z.T, int(np.count_nonzero(s))
+    kept = np.flatnonzero(s)
+    if lead is not None and kept.size == 1 and M.shape[0] >= _SMALL_ORDER:
+        lead[:] = Z[:, kept[0]]
+    return (Z * s) @ Z.T, kept.size
 
 
-def _svt_gram(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
+def _svt_gram(
+    M: np.ndarray, phi: float, lead: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """svt() through the Gram matrix, and the number of singular values it
     kept.
 
@@ -210,14 +239,24 @@ def _svt_gram(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
     values pass phi; a line at that error alone let the error reach
     1.1e-9 ||M||.  At or below the line, phi = 0 included, the SVT is the
     exact svt() (gesdd on M).  The ADMM's phi = 1/(3 tau) is far above it.
+
+    lead is _svt_symmetric's in/out buffer, for G's eigenvector (of the
+    smaller side's length).  Where the rules above take the Gram route, a
+    nonzero lead starts a rank-one SVT: _lone_pair proves that only one
+    eigenvalue theta of G exceeds phi^2, with G's residual r at v.  Then,
+    with u = Mv/||Mv||, (u, v) is an exact singular pair at sqrt(theta) of
+    M - uu'M(I - vv'), a change of norm ||r||/sqrt(theta) whose other
+    singular values lie below phi, so X = (1 - phi/sqrt(theta)) M vv' is
+    within ||r||/sqrt(theta) < ||r||/phi of svt(M, phi).
     """
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
     M = np.asarray(M, dtype=float)
     if M.shape[0] < M.shape[1]:
-        X, kept = _svt_gram(M.T, phi)
+        X, kept = _svt_gram(M.T, phi, lead)
         return X.T, kept
     m, n = M.shape
+    start = _warm_start(lead, n)
     # entries in [sqrt(min), sqrt(max/m)] put G's entries in syevd's safe range
     top = _finite_top(M)
     if top != 0.0 and not math.sqrt(_SCALE_MIN) <= top <= math.sqrt(_SCALE_MAX / m):
@@ -229,11 +268,93 @@ def _svt_gram(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
         return np.zeros((m, n)), 0
     if cut <= _SQRT_EPS * trace:
         return _svt(M, phi)
+    if start is not None:
+        pair = _lone_pair(G, cut, start, both_tails=False)
+        if pair is not None:
+            theta, v = pair
+            lead[:] = v
+            return np.outer((1.0 - phi / math.sqrt(theta)) * (M @ v), v), 1
     w, V = _eigenpairs_outside(G, cut)
     kept = w > cut
     w, V = w[kept], V[:, kept]
+    if lead is not None and w.size == 1 and n >= _SMALL_ORDER:
+        lead[:] = V[:, 0]
     X = ((M @ V) * (1.0 - phi / np.sqrt(w))) @ V.T
     return X, int(w.size)
+
+
+def _warm_start(lead: np.ndarray | None, n: int) -> np.ndarray | None:
+    """A copy of lead to start a rank-one SVT of order n from, or None when
+    there is no start or n is below _SMALL_ORDER; lead is left zeroed, for
+    the SVT to refill when it keeps one pair."""
+    if lead is None or n < _SMALL_ORDER or not lead.any():
+        return None
+    start = lead.copy()
+    lead[:] = 0.0
+    return start
+
+
+def _lone_pair(A: np.ndarray, phi: float, v: np.ndarray, both_tails: bool):
+    """(theta, v) for a unit vector v and theta = v'Av when it is proved that
+    the symmetric A (lower triangle read) has exactly one eigenvalue outside
+    [-phi, phi], or above phi alone when both_tails is False (for A
+    positive semidefinite); None when that is not shown.
+
+    Power steps v <- Av/||Av|| run from the given unit v until the residual
+    r = Av - theta v has ||r|| <= 4 eps ||A||_F.  Then dpotrf checks
+    C = A - theta vv': phi I - C positive definite puts every eigenvalue of
+    C below phi, and phi I + C (both tails only) every one above -phi.  Take
+    theta > 0 (theta < 0 is the mirror image).  As A = C + theta vv', Cauchy
+    interlacing puts every eigenvalue of A but the largest between the
+    smallest and the largest eigenvalue of C, inside the interval; the
+    largest is at least the Rayleigh quotient theta, which must exceed phi.
+
+    v is an exact eigenvector of B = A - rv' - vr' = theta vv' + PCP, with
+    P = I - vv', whose other eigenvalues lie within C's.  So the rank-one
+    shrink sign(theta) (|theta| - phi) vv' is the exact SVT of B, and, the
+    prox being nonexpansive, within ||A - B||_F = sqrt(2) ||r|| of the exact
+    SVT of A.  Rounding in the factorizations blurs the proof only for an
+    eigenvalue of C within rounding of -phi or phi, where the pipeline's
+    Sturm count is as blurred.
+
+    None when the step cap is hit, when a step fails to cut the residual by
+    _POWER_RATE, when |theta| <= phi, or when a factorization fails.
+    """
+    norm = np.linalg.norm
+    # A's lower triangle is the upper one of the Fortran-ordered A.T, which
+    # LAPACK and BLAS take without a copy
+    tol = 4.0 * _EPS * float(norm(A))
+    last = math.inf
+    for _ in range(_POWER_STEPS):
+        w = blas.dsymv(1.0, A.T, v, lower=0)
+        theta = float(v @ w)
+        res = float(norm(w - theta * v))
+        if res <= tol:
+            break
+        if not res <= _POWER_RATE * last:
+            return None
+        last = res
+        v = w / norm(w)
+    else:
+        return None
+    if not abs(theta) > phi:
+        return None
+    # H = phi I - side C, in Fortran order so that its lower triangle is
+    # A's: dpotrf factors a lower triangle faster (267 against 431 us at
+    # n=250, one thread)
+    H = np.empty(A.shape, order="F")
+    diagonal = H.T.ravel()[:: A.shape[0] + 1]
+    sign = math.copysign(1.0, theta)
+    for side in (sign, -sign) if both_tails else (sign,):
+        np.copyto(H, A)
+        if side > 0:
+            np.negative(H, out=H)
+        blas.dsyr(side * theta, v, lower=1, a=H, overwrite_a=1)
+        diagonal += phi
+        _, info = lapack.dpotrf(H, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            return None
+    return theta, v
 
 
 def _eigenpairs_outside(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -494,6 +615,8 @@ class _DerivedSweep:
         self.phi_y = gamma / tau
         # Q, the next Z and LQ, and two temporaries, reused by every sweep
         self.Q, self.Zn, self.LQn, self.C, self.T = (np.empty(self.shape) for _ in range(5))
+        # the shrink's leading vector, carried from sweep to sweep
+        self.lead = np.zeros(min(self.shape))
 
     def __call__(self, s: _Iterates) -> tuple[float, float, int] | None:
         """One sweep of s in place: (rp, rd, kept SVT rank), or None, with s
@@ -514,7 +637,7 @@ class _DerivedSweep:
         C *= 1.0 / 3.0  # a divide pass costs about four multiply passes
         if not np.isfinite(C).all():
             return None
-        X, rank = self.shrink(C, self.phi_x)
+        X, rank = self.shrink(C, self.phi_x, self.lead)
         # U = Q - X - LQ, in Q's buffer; Y = S(U) and the new LQ = Y - U
         U = Q
         U -= X

@@ -45,9 +45,9 @@ def test_solve_runs_on_one_thread_and_restores_the_callers_count(monkeypatch):
     seen = []
     original = solver._svt_symmetric
 
-    def spy(M, phi):
+    def spy(M, phi, lead=None):
         seen.append(counts(controls))
-        return original(M, phi)
+        return original(M, phi, lead)
 
     monkeypatch.setattr(solver, "_svt_symmetric", spy)
     inst = sample_dks(PlantedDksParams(n=40, k=16, p=0.0, q=0.0, seed=1))

@@ -189,6 +189,45 @@ class TestManyBlocks:
         assert [s.members for s in argmin] == expected
 
 
+class TestTrustedSubsets:
+    """The oracle builds its subsets without NodeSubset's checks; they must
+    equal publicly built ones, in order."""
+
+    @staticmethod
+    def assert_public(subset, n):
+        assert subset == NodeSubset(subset.members, n)
+        assert all(type(v) is int for v in subset.members)
+
+    def test_tie_heavy_bipartite_result(self):
+        # every one of the 59,400 pairs is optimal
+        g = BipartiteGraph(12, 10, np.ones((12, 10), dtype=bool))
+        result = brute_force_dkb(g, 4, 3)
+        expected = [
+            (NodeSubset(us, 12), NodeSubset(vs, 10))
+            for vs in combinations(range(10), 3)
+            for us in combinations(range(12), 4)
+        ]
+        assert result.optimal_subsets == expected
+        for su, sv in result.optimal_subsets[:: 997]:
+            self.assert_public(su, 12)
+            self.assert_public(sv, 10)
+
+    def test_tie_heavy_square_results(self):
+        g = Graph(12, np.zeros((12, 12), dtype=bool))
+        expected = [NodeSubset(s, 12) for s in combinations(range(12), 5)]
+        result = brute_force_dks(g, 5)
+        _, argmin = restricted_relaxation_value(g, 5, gamma=1.0)
+        assert result.optimal_subsets == expected and argmin == expected
+        for subset in result.optimal_subsets + argmin:
+            self.assert_public(subset, 12)
+
+    def test_public_constructor_still_checks(self):
+        assert NodeSubset((3, 1, 2), 4).members == (1, 2, 3)
+        with pytest.raises(ValueError, match="duplicate"):
+            NodeSubset((1, 1), 4)
+        with pytest.raises(ValueError, match="out of range"):
+            NodeSubset((0, 4), 4)
+
 class TestSolverOracleConsistency:
     def test_near_integral_solutions_attain_oracle_optimum(self):
         rng = np.random.default_rng(20)

@@ -116,8 +116,9 @@ class TestSolveDks:
 
     def test_partial_eigensolve_follows_the_full_one(self, monkeypatch):
         # the whole solve with the SVT taken from a full eigh, as it was
-        # computed before the partial eigensolve
-        def svt_full_eigh(M, phi):
+        # computed before the partial eigensolve; it ignores the leading
+        # vector, so the reference takes no rank-one step
+        def svt_full_eigh(M, phi, lead=None):
             w, V = scipy.linalg.eigh(M, driver="evd", check_finite=False)
             s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
             return (V * s) @ V.T, int(np.count_nonzero(s))
@@ -130,6 +131,25 @@ class TestSolveDks:
         assert partial.iterations == full.iterations
         assert np.abs(partial.X - full.X).max() <= 1e-9
         assert np.array_equal(partial.svt_rank, full.svt_rank)
+
+    def test_rank_one_steps_follow_the_pipeline(self, monkeypatch, lone_pair_outcomes):
+        # the same solve with every SVT from the reduction pipeline
+        inst = sample_dks(PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4))
+        fast = solve_dks(inst.graph, 100)
+        assert lone_pair_outcomes.count(True) >= fast.iterations // 3
+        pipeline_only(monkeypatch, "_svt_symmetric")
+        ref = solve_dks(inst.graph, 100)
+        assert fast.converged and ref.converged
+        assert fast.iterations == ref.iterations
+        assert np.array_equal(fast.svt_rank, ref.svt_rank)
+        assert np.abs(fast.X - ref.X).max() <= 1e-12
+
+    def test_small_solve_takes_no_rank_one_step(self, lone_pair_outcomes):
+        # below order 32 every SVT is one dsyevd call
+        g, k = criterion_3_trial_0()
+        result = solve_dks(g, k, SolverConfig(max_iter=300))
+        assert (result.svt_rank == 1).any()
+        assert lone_pair_outcomes == []
 
     def test_single_node(self):
         result = solve_dks(Graph.complete(1), 1)
@@ -149,6 +169,13 @@ class TestSolveDks:
             for bad in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match="finite"):
                     SolverConfig(**{field: bad})
+
+
+def pipeline_only(monkeypatch, name):
+    """Make solver.<name> drop the leading vector, so that every SVT takes
+    the pipeline it ran before the rank-one route."""
+    original = getattr(solver, name)
+    monkeypatch.setattr(solver, name, lambda M, phi, lead=None: original(M, phi))
 
 
 def criterion_3_trial_0():
@@ -365,12 +392,26 @@ class TestSolveDkb:
         inst = sample_dkb(PlantedDkbParams(n1=200, n2=200, k1=60, k2=60, p=0.05, q=0.25, seed=0))
         cfg = SolverConfig(gamma=6 / 60)
         gram = solve_dkb(inst.graph, 60, 60, cfg)
-        monkeypatch.setattr(solver, "_svt_gram", solver._svt)
+        # the exact SVT takes no leading vector, so no rank-one step
+        monkeypatch.setattr(solver, "_svt_gram", lambda M, phi, lead=None: solver._svt(M, phi))
         exact = solve_dkb(inst.graph, 60, 60, cfg)
         assert gram.converged and exact.converged
         assert gram.iterations == exact.iterations
         assert np.array_equal(gram.svt_rank, exact.svt_rank)
         assert np.abs(gram.X - exact.X).max() <= 1e-9
+
+    def test_rank_one_steps_follow_the_gram_pipeline(self, monkeypatch, lone_pair_outcomes):
+        # the criterion-8 instance, with every SVT from the Gram pipeline
+        inst = sample_dkb(PlantedDkbParams(n1=200, n2=200, k1=60, k2=60, p=0.05, q=0.25, seed=0))
+        cfg = SolverConfig(gamma=6 / 60)
+        fast = solve_dkb(inst.graph, 60, 60, cfg)
+        assert lone_pair_outcomes.count(True) >= 10
+        pipeline_only(monkeypatch, "_svt_gram")
+        ref = solve_dkb(inst.graph, 60, 60, cfg)
+        assert fast.converged and ref.converged
+        assert fast.iterations == ref.iterations
+        assert np.array_equal(fast.svt_rank, ref.svt_rank)
+        assert np.abs(fast.X - ref.X).max() <= 1e-12
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 5), (5, 1)])
     def test_single_row_or_column(self, n1, n2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from dksub import solver
 from dksub.solver import (
@@ -436,6 +436,151 @@ class TestSvtGram:
         M = matrix_with_singular_values(np.where(np.arange(p) < kept, 6.0, 0.0), shape, 11)
         with pytest.raises(NumericalError, match=routine):
             _svt_gram(M, 1.0)
+
+
+def warm_lead(z, seed):
+    """A unit vector near z, as the previous sweep would leave it."""
+    lead = z + 1e-3 * np.random.default_rng(seed).standard_normal(z.size)
+    return lead / np.linalg.norm(lead)
+
+
+class TestRankOneSvt:
+    """The rank-one route that a nonzero leading vector opens, against svt()."""
+
+    PHI = 0.95
+
+    def spiked(self, spike, extra=(), n=60, seed=0):
+        """A symmetric matrix with eigenvalue spike, the extra eigenvalues,
+        and the rest spread over [-0.999 phi, 0.999 phi]; and the spike's
+        eigenvector."""
+        bulk = np.linspace(-0.999, 0.999, n - 1 - len(extra)) * self.PHI
+        w = np.concatenate([[spike], extra, bulk])
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        M = (Q * w) @ Q.T
+        return (M + M.T) / 2, Q[:, 0]
+
+    def run(self, M, lead):
+        X, kept = _svt_symmetric(M, self.PHI, lead)
+        assert np.allclose(X, svt(M, self.PHI), rtol=0.0, atol=1e-12 * np.abs(M).max())
+        return X, kept
+
+    @pytest.mark.parametrize("spike", [40.0, -40.0, 4.0])
+    def test_lone_spike_is_accepted(self, lone_pair_outcomes, monkeypatch, spike):
+        # a negative leading eigenvalue included
+        M, z = self.spiked(spike)
+        lead = warm_lead(z, 1)
+        calls = spy(monkeypatch, "dsytrd")
+        X, kept = self.run(M, lead)
+        assert (kept, lone_pair_outcomes, calls) == (1, [True], [])
+        assert abs(lead @ z) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("second", [1.001 * PHI, -1.001 * PHI])
+    def test_a_second_pair_outside_falls_back(self, lone_pair_outcomes, second):
+        # above phi the first Cholesky fails, below -phi the second
+        M, z = self.spiked(40.0, [second])
+        lead = warm_lead(z, 2)
+        X, kept = self.run(M, lead)
+        assert (kept, lone_pair_outcomes) == (2, [False])
+        assert not lead.any()
+
+    def test_stalled_power_steps_fall_back(self, lone_pair_outcomes, monkeypatch):
+        # a near tie at the top: once the bulk's share of the residual has
+        # died out, it falls by about 4.999/5 per step and fails the rate,
+        # well before the step cap
+        M, z = self.spiked(5.0, [4.999])
+        lead = warm_lead(z, 3)
+        steps = []
+        original = blas.dsymv
+
+        def recorded(*args, **kwargs):
+            steps.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blas, "dsymv", recorded)
+        X, kept = self.run(M, lead)
+        assert (kept, lone_pair_outcomes) == (2, [False])
+        assert 2 <= len(steps) <= 10 < solver._POWER_STEPS
+
+    def test_lone_pair_inside_the_interval_falls_back(self, lone_pair_outcomes):
+        # the power steps converge, but theta is below phi: nothing is kept
+        M, z = self.spiked(0.5 * self.PHI, n=60)
+        M = M - 0.99 * (M - 0.5 * self.PHI * np.outer(z, z))  # bulk at +-0.01 phi
+        lead = warm_lead(z, 10)
+        X, kept = self.run(M, lead)
+        assert (kept, lone_pair_outcomes) == (0, [False])
+        assert not lead.any()
+
+    def test_pipeline_fills_the_lead_when_it_keeps_one_pair(self, lone_pair_outcomes):
+        M, z = self.spiked(40.0)
+        lead = np.zeros(M.shape[0])
+        X, kept = self.run(M, lead)
+        assert (kept, lone_pair_outcomes) == (1, [])
+        assert abs(lead @ z) == pytest.approx(1.0, abs=1e-12)
+
+    def test_small_order_ignores_the_lead(self, lone_pair_outcomes, monkeypatch):
+        M, z = self.spiked(40.0, n=14)
+        lead = warm_lead(z, 4)
+        before = lead.copy()
+        calls = spy(monkeypatch, "dsyevd")
+        X, kept = self.run(M, lead)
+        assert (kept, lone_pair_outcomes, calls) == (1, [], ["dsyevd"])
+        assert np.array_equal(lead, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, lone_pair_outcomes, bad):
+        M, z = self.spiked(40.0)
+        M[5, 0] = M[0, 5] = bad
+        with pytest.raises(NumericalError):
+            _svt_symmetric(M, self.PHI, warm_lead(z, 5))
+        assert lone_pair_outcomes == []
+
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_out_of_range_input_is_one_dsyevd_call(self, lone_pair_outcomes, monkeypatch, size):
+        M, z = self.spiked(40.0)
+        lead = warm_lead(z, 6)
+        calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dpotrf")}
+        X, kept = _svt_symmetric(M * size, self.PHI * size, lead)
+        assert (kept, lone_pair_outcomes, calls) == (1, [], {"dsyevd": ["dsyevd"], "dpotrf": []})
+        assert np.allclose(X / size, svt(M, self.PHI), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
+    @pytest.mark.parametrize("second", [None, 1.001 * PHI])
+    def test_gram_variant(self, lone_pair_outcomes, monkeypatch, shape, second):
+        # one Cholesky proves the lone singular value above phi, and a
+        # second one above phi makes it fail
+        p = min(shape)
+        s = np.concatenate([[40.0], np.linspace(0.999, 0.0, p - 1) * self.PHI])
+        if second is not None:
+            s[1] = second
+        M = matrix_with_singular_values(s, shape, 13)
+        right = np.linalg.svd(M if shape[0] >= shape[1] else M.T)[2][0]
+        lead = warm_lead(right, 7)
+        calls = spy(monkeypatch, "dpotrf")
+        X, kept = _svt_gram(M, self.PHI, lead)
+        assert np.allclose(X, svt(M, self.PHI), rtol=0.0, atol=1e-12 * 40.0)
+        if second is None:
+            assert (kept, lone_pair_outcomes, calls) == (1, [True], ["dpotrf"])
+            assert abs(lead @ right) == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert (kept, lone_pair_outcomes, calls) == (2, [False], ["dpotrf"])
+            assert not lead.any()
+
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_gram_out_of_range_input_takes_the_exact_svt(self, lone_pair_outcomes, size):
+        s = np.concatenate([[40.0], np.linspace(0.5, 0.0, 39)])
+        M = matrix_with_singular_values(s, (60, 40), 14)
+        lead = warm_lead(np.linalg.svd(M)[2][0], 8)
+        X, kept = _svt_gram(M * size, self.PHI * size, lead)
+        assert (kept, lone_pair_outcomes) == (1, [])
+        assert not lead.any()
+        assert np.allclose(X / size, svt(M, self.PHI), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gram_non_finite_input_raises(self, bad):
+        M = matrix_with_singular_values(np.linspace(40.0, 0.0, 40), (60, 40), 15)
+        M[-1, 0] = bad
+        with pytest.raises(NumericalError):
+            _svt_gram(M, self.PHI, warm_lead(np.eye(40)[0], 9))
 
 
 class TestProjectSum:
