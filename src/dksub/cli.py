@@ -89,12 +89,6 @@ def _cmd_solve(args) -> int:
         result = solver.solve_dks(g, args.k, cfg)
         rounded = solver.round_to_subset(result.X, args.k)
         payload["recovered_subset"] = list(rounded.members)
-        if truth_file:
-            truth = io.read_ground_truth(truth_file)
-            planted = truth.subset(g)
-            payload["X_relative_error_vs_ground_truth"] = solver.relative_error(
-                result.X, planted
-            )
     else:
         if args.k1 is None or args.k2 is None:
             raise ValueError("--k1 and --k2 are required for a bipartite graph")
@@ -102,12 +96,10 @@ def _cmd_solve(args) -> int:
         result = solver.solve_dkb(g, args.k1, args.k2, cfg)
         su, sv = solver.round_to_subset(result.X, (args.k1, args.k2))
         payload["recovered_subset"] = {"u": list(su.members), "v": list(sv.members)}
-        if truth_file:
-            truth = io.read_ground_truth(truth_file)
-            planted = truth.subsets(g)
-            payload["X_relative_error_vs_ground_truth"] = solver.relative_error(
-                result.X, planted
-            )
+    if truth_file:
+        truth = io.read_ground_truth(truth_file)
+        planted = truth.subset(g) if kind == "graph" else truth.subsets(g)
+        payload["X_relative_error_vs_ground_truth"] = solver.relative_error(result.X, planted)
     payload.update(
         converged=result.converged,
         iterations=result.iterations,

@@ -16,12 +16,13 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .models import PlantedDksParams, child_seed, sample_dks
-from .solver import SolverConfig, _one_blas_thread, relative_error, solve_dks
+from .solver import SolverConfig, _one_blas_thread, _require_int, relative_error, solve_dks
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,11 @@ class PhaseGridConfig:
     recovery_tol: float = 1e-3
 
     def __post_init__(self):
+        _require_int(self.n, "n")
+        _require_int(self.trials, "trials")
+        for k in self.k_values:
+            _require_int(k, "every k")
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if self.trials < 1:
@@ -160,14 +166,10 @@ def run_phase_diagram(
     ]
     if jobs > 1:
         with _one_blas_thread(), ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_trial_star, [(cfg, *t) for t in tasks], chunksize=1))
+            records = list(pool.map(run_trial, repeat(cfg), *zip(*tasks), chunksize=1))
     else:
         records = [run_trial(cfg, *t) for t in tasks]
     return aggregate(cfg, records), records
-
-
-def _trial_star(args) -> TrialRecord:
-    return run_trial(*args)
 
 
 CSV_COLUMNS = ("n", "q", "p", "k", "trials", "recoveries", "mean_iterations", "mean_relative_error")

@@ -10,6 +10,7 @@ from hanging.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -106,10 +107,9 @@ def brute_force_dkb(g: BipartiteGraph, k1: int, k2: int) -> OracleResult:
             hits = rows[scores == top].tolist()
             out.extend(zip(hits, repeat(sub)) if loop_u else zip(repeat(sub), hits))
     out.sort()
-    optimal = [
-        (NodeSubset._trusted(tuple(us), g.n1), NodeSubset._trusted(tuple(vs), g.n2))
-        for vs, us in out
-    ]
+    # one object per distinct subset: a tie-heavy graph repeats each many times
+    subset = functools.cache(NodeSubset._trusted)
+    optimal = [(subset(tuple(us), g.n1), subset(tuple(vs), g.n2)) for vs, us in out]
     return OracleResult(best_edge_count=best, optimal_subsets=optimal, unique=len(optimal) == 1)
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +52,12 @@ from .graphs import BipartiteGraph, Graph, NodeSubset, complement_edges, biparti
 
 class NumericalError(RuntimeError):
     """A dense linear-algebra kernel failed or did not converge."""
+
+
+def _require_int(value, name: str) -> None:
+    """ValueError unless value is an int or a numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -71,6 +78,7 @@ class SolverConfig:
             raise ValueError("tau must be positive and finite")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        _require_int(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.mode not in ("paper", "derived"):
@@ -157,8 +165,8 @@ def _svt(M: np.ndarray, phi: float) -> tuple[np.ndarray, int]:
 # syevd's safe range for the entries of the matrix it decomposes
 _SCALE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _SCALE_MAX = 1.0 / _SCALE_MIN
-# below this order one dsyevd call beats the reduction pipeline of
-# _eigenpairs_outside: per call on real iterates it was faster at n=14 and
+# below this order one dsyevd call beats the reduction pipeline
+# (_reduced_pairs): per call on real iterates it was faster at n=14 and
 # 20, level at 28-40 and slower at 60
 _SMALL_ORDER = 32
 _EPS = np.finfo(float).eps
@@ -187,31 +195,13 @@ def _svt_symmetric(
 ) -> tuple[np.ndarray, int]:
     """svt() specialized to symmetric input, and the number of eigenvalues it
     kept: the eigenpairs outside [-phi, phi], each eigenvalue shrunk toward
-    zero by phi.  Only the lower triangle is read.
-
-    lead, when given, is an in/out buffer of length n for a sequence of
-    calls on slowly changing M.  A nonzero lead is the unit vector that a
-    rank-one SVT (_lone_pair) starts from; that route is tried first, from
-    order _SMALL_ORDER on and for M in syevd's safe range.  On return lead
-    holds the kept eigenvector when exactly one pair was kept, and zeros
-    otherwise.
-    """
+    zero by phi.  Only the lower triangle is read.  lead is the in/out warm
+    vector of _eigenpairs_outside, which finds the pairs."""
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
-    M = np.asarray(M, dtype=float)
-    start = _warm_start(lead, M.shape[0])
-    if start is not None and _SCALE_MIN <= _finite_top(M) <= _SCALE_MAX:
-        pair = _lone_pair(M, phi, start, both_tails=True)
-        if pair is not None:
-            theta, v = pair
-            lead[:] = v
-            return np.outer((theta - math.copysign(phi, theta)) * v, v), 1
-    w, Z = _eigenpairs_outside(M, phi)
-    s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
-    kept = np.flatnonzero(s)
-    if lead is not None and kept.size == 1 and M.shape[0] >= _SMALL_ORDER:
-        lead[:] = Z[:, kept[0]]
-    return (Z * s) @ Z.T, kept.size
+    w, Z = _eigenpairs_outside(np.asarray(M, dtype=float), phi, lead)
+    # np.dot: bitwise equal to @, and for one column at n=250 several times faster
+    return np.dot(Z * (w - np.copysign(phi, w)), Z.T), w.size
 
 
 def _svt_gram(
@@ -223,11 +213,12 @@ def _svt_gram(
     With G = M'M over the smaller side of M, the singular values of M above
     phi are the square roots of the eigenvalues w of G above phi^2, and with
     their eigenvectors V, svt(M, phi) = ((M V) diag(1 - phi/sqrt(w))) V'.
-    _eigenpairs_outside finds them; G is positive semidefinite, so its
-    search of the lower tail, below -phi^2, ends at an empty Sturm count.
-    G could overflow or underflow when the largest entry of M is nonzero and
-    outside [sqrt(min), sqrt(max/m)], for syevd's safe range [min, max]; such
-    M takes the exact svt() instead, and gesdd rescales it itself.
+    _eigenpairs_outside finds them, with lead as its warm vector (of the
+    smaller side's length); G is positive semidefinite, so its lower tail,
+    below -phi^2, is empty.  G could overflow or underflow when the largest
+    entry of M is nonzero and outside [sqrt(min), sqrt(max/m)], for syevd's
+    safe range [min, max]; such M takes the exact svt() instead, and gesdd
+    rescales it itself.
 
     Accuracy rule: rounding G perturbs it by about eps ||M||^2, which the
     shrink factor's slope near phi^2 turns into an error of about
@@ -238,16 +229,15 @@ def _svt_gram(
     (m + n) eps ||M||_F^2, below which G cannot even tell which singular
     values pass phi; a line at that error alone let the error reach
     1.1e-9 ||M||.  At or below the line, phi = 0 included, the SVT is the
-    exact svt() (gesdd on M).  The ADMM's phi = 1/(3 tau) is far above it.
+    exact svt() (gesdd on M), which zeroes lead.  The ADMM's phi = 1/(3 tau)
+    is far above it.
 
-    lead is _svt_symmetric's in/out buffer, for G's eigenvector (of the
-    smaller side's length).  Where the rules above take the Gram route, a
-    nonzero lead starts a rank-one SVT: _lone_pair proves that only one
-    eigenvalue theta of G exceeds phi^2, with G's residual r at v.  Then,
-    with u = Mv/||Mv||, (u, v) is an exact singular pair at sqrt(theta) of
-    M - uu'M(I - vv'), a change of norm ||r||/sqrt(theta) whose other
-    singular values lie below phi, so X = (1 - phi/sqrt(theta)) M vv' is
-    within ||r||/sqrt(theta) < ||r||/phi of svt(M, phi).
+    On the rank-one route, _lone_pair proves that only one eigenvalue theta
+    of G exceeds phi^2, with G's residual r at v.  Then, with u = Mv/||Mv||,
+    (u, v) is an exact singular pair at sqrt(theta) of M - uu'M(I - vv'), a
+    change of norm ||r||/sqrt(theta) whose other singular values lie below
+    phi, so X = (1 - phi/sqrt(theta)) M vv' is within ||r||/sqrt(theta) <
+    ||r||/phi of svt(M, phi).
     """
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
@@ -255,50 +245,64 @@ def _svt_gram(
     if M.shape[0] < M.shape[1]:
         X, kept = _svt_gram(M.T, phi, lead)
         return X.T, kept
-    m, n = M.shape
-    start = _warm_start(lead, n)
-    # entries in [sqrt(min), sqrt(max/m)] put G's entries in syevd's safe range
     top = _finite_top(M)
-    if top != 0.0 and not math.sqrt(_SCALE_MIN) <= top <= math.sqrt(_SCALE_MAX / m):
-        return _svt(M, phi)
-    G = M.T @ M
-    cut = phi * phi
-    trace = float(np.trace(G))  # ||M||_F^2, at least the largest eigenvalue
-    if cut >= trace:
-        return np.zeros((m, n)), 0
-    if cut <= _SQRT_EPS * trace:
-        return _svt(M, phi)
-    if start is not None:
-        pair = _lone_pair(G, cut, start, both_tails=False)
-        if pair is not None:
-            theta, v = pair
-            lead[:] = v
-            return np.outer((1.0 - phi / math.sqrt(theta)) * (M @ v), v), 1
-    w, V = _eigenpairs_outside(G, cut)
-    kept = w > cut
-    w, V = w[kept], V[:, kept]
-    if lead is not None and w.size == 1 and n >= _SMALL_ORDER:
-        lead[:] = V[:, 0]
-    X = ((M @ V) * (1.0 - phi / np.sqrt(w))) @ V.T
-    return X, int(w.size)
+    # entries in [sqrt(min), sqrt(max/m)] put G's entries in syevd's safe range
+    if top == 0.0 or math.sqrt(_SCALE_MIN) <= top <= math.sqrt(_SCALE_MAX / M.shape[0]):
+        G = M.T @ M
+        cut = phi * phi
+        if cut > _SQRT_EPS * float(np.trace(G)):  # trace(G) = ||M||_F^2
+            w, V = _eigenpairs_outside(G, cut, lead, both_tails=False)
+            return np.dot((M @ V) * (1.0 - phi / np.sqrt(w)), V.T), w.size
+    if lead is not None:
+        lead[:] = 0.0
+    return _svt(M, phi)
 
 
-def _warm_start(lead: np.ndarray | None, n: int) -> np.ndarray | None:
-    """A copy of lead to start a rank-one SVT of order n from, or None when
-    there is no start or n is below _SMALL_ORDER; lead is left zeroed, for
-    the SVT to refill when it keeps one pair."""
-    if lead is None or n < _SMALL_ORDER or not lead.any():
-        return None
-    start = lead.copy()
-    lead[:] = 0.0
-    return start
+def _eigenpairs_outside(
+    M: np.ndarray, phi: float, lead: np.ndarray | None = None, both_tails: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs (w, Z) of the symmetric matrix M, lower triangle read,
+    whose eigenvalues lie outside [-phi, phi]; every route returns exactly
+    those.  both_tails=False is for M positive semidefinite, whose lower tail
+    is empty.
+
+    Below order _SMALL_ORDER this is one dsyevd call, and so it is when the
+    largest entry of M is nonzero and outside syevd's safe range
+    [_SCALE_MIN, _SCALE_MAX]: there squares over- or underflow (divergent
+    paper-mode iterates pass 1e150), and dsyevd rescales such input itself.
+    Otherwise a nonzero lead is first tried as the start of a rank-one step
+    (_lone_pair), and the reduction pipeline (_reduced_pairs) runs when that
+    step is not proved.
+
+    lead, when given, is an in/out buffer of length n for a sequence of
+    calls on slowly changing M.  From order _SMALL_ORDER on, it is left
+    holding the eigenvector when exactly one pair is returned, and zeros
+    otherwise; below that order it is neither read nor written.
+    """
+    n = M.shape[0]
+    top = _finite_top(M)
+    small = n < _SMALL_ORDER
+    pairs = None
+    if small or not (top == 0.0 or _SCALE_MIN <= top <= _SCALE_MAX):
+        *pairs, info = lapack.dsyevd(M, lower=1)
+        _lapack_ok(info, "dsyevd", n)
+    elif lead is not None and lead.any():
+        pairs = _lone_pair(M, phi, lead, both_tails)
+    w, Z = pairs if pairs is not None else _reduced_pairs(M, phi)
+    # a boolean index copies, so Z never aliases lead
+    outside = np.abs(w) > phi
+    w, Z = w[outside], Z[:, outside]
+    if lead is not None and not small:
+        lead[:] = Z[:, 0] if w.size == 1 else 0.0
+    return w, Z
 
 
 def _lone_pair(A: np.ndarray, phi: float, v: np.ndarray, both_tails: bool):
-    """(theta, v) for a unit vector v and theta = v'Av when it is proved that
-    the symmetric A (lower triangle read) has exactly one eigenvalue outside
-    [-phi, phi], or above phi alone when both_tails is False (for A
-    positive semidefinite); None when that is not shown.
+    """The eigenpair (w, Z) = ([theta], v as a column), for a unit vector v
+    and theta = v'Av, when it is proved that the symmetric A (lower triangle
+    read) has exactly one eigenvalue outside [-phi, phi], or above phi alone
+    when both_tails is False (for A positive semidefinite); None when that
+    is not shown.
 
     Power steps v <- Av/||Av|| run from the given unit v until the residual
     r = Av - theta v has ||r|| <= 4 eps ||A||_F.  Then dpotrf checks
@@ -354,19 +358,16 @@ def _lone_pair(A: np.ndarray, phi: float, v: np.ndarray, both_tails: bool):
         _, info = lapack.dpotrf(H, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             return None
-    return theta, v
+    return np.array([theta]), v[:, None]
 
 
-def _eigenpairs_outside(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_pairs(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, Z) of the symmetric matrix M, lower triangle read, that
-    include every eigenvalue outside [-phi, phi].  The paths that decompose
-    M fully return all n pairs, the others only those outside.
+    include every eigenvalue outside [-phi, phi], for M in syevd's safe
+    range.  The full decomposition returns all n pairs, the other paths
+    only those outside.
 
-    Below order 32 this is one dsyevd call, and so it is when the largest
-    entry of M is nonzero and outside syevd's safe range [_SCALE_MIN,
-    _SCALE_MAX]: there squares over- or underflow (divergent paper-mode
-    iterates pass 1e150), and dsyevd rescales such input itself.  Otherwise
-    one Householder reduction M = Q T Q' (dsytrd) serves both tails of the
+    One Householder reduction M = Q T Q' (dsytrd) serves both tails of the
     spectrum: a Sturm count on T gives the number of eigenvalues outside
     [-phi, phi], bisection (dstebz) finds them, inverse iteration (dstein)
     gives their vectors, and only those vectors are carried back through Q.
@@ -380,21 +381,14 @@ def _eigenpairs_outside(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarr
     inverse iteration fails to converge.
     """
     n = M.shape[0]
-    top = _finite_top(M)
-    if n < _SMALL_ORDER or not (top == 0.0 or _SCALE_MIN <= top <= _SCALE_MAX):
-        *pairs, info = lapack.dsyevd(M, lower=1)
-        _lapack_ok(info, "dsyevd", n)
-        return tuple(pairs)
     c, d, e, tau, info = lapack.dsytrd(M, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
     _lapack_ok(info, "dsytrd", n)
     radius, off = np.abs(d), np.abs(e)
     radius[1:] += off
     radius[:-1] += off
     bound = float(radius.max())  # Gershgorin: every eigenvalue lies in [-bound, bound]
-    if phi >= bound:
-        return np.zeros(0), np.zeros((n, 0))
-    kept = n
-    if phi > 0:
+    kept = 0 if phi >= bound else n
+    if kept and phi > 0:
         # a tolerance wider than the interval stops the bisection at the count
         inside, *_, info = lapack.dstebz(d, e, 1, -phi, phi, 0, 0, 4.0 * bound, "B")
         _lapack_ok(info, "dstebz", n)
@@ -405,8 +399,7 @@ def _eigenpairs_outside(M: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarr
     if pairs is None:
         *pairs, info = lapack.dstevd(d, e)
         _lapack_ok(info, "dstevd", n)
-    w, Z = pairs
-    return w, _apply_q(c, tau, Z)
+    return pairs[0], _apply_q(c, tau, pairs[1])
 
 
 def _tail_pairs(d: np.ndarray, e: np.ndarray, phi: float, bound: float):

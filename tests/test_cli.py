@@ -247,6 +247,22 @@ class TestPhase:
         assert "recovery_tol must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "config,field",
+        [
+            # n=10.5 used to exit 0 with every trial's TypeError swallowed
+            ({"n": 10.5}, "n"),
+            ({"n": 10, "k_values": [4.7]}, "every k"),
+            ({"n": 10, "solver": {"max_iter": 10.5}}, "max_iter"),
+        ],
+    )
+    def test_non_integer_config_value_is_bad_input(self, tmp_path, capsys, config, field):
+        path = tmp_path / "grid.json"
+        grid = {"k_values": [4], "p_values": [0.0], "q": 0.0, "trials": 2, **config}
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        assert run(["phase", "--config", path, "--jobs", 1]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags", [["--p-list", -0.5], ["--p-list", 0.0, 1.5], ["--q", 1.5], ["--q", -0.1]]
     )
     def test_probability_out_of_range_is_bad_input(self, capsys, flags):

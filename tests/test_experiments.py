@@ -40,6 +40,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(k_values=(40,))
 
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("n", 30.5), ("n", 30.0), ("trials", 2.5), ("k_values", (5, 4.7)), ("k_values", (True,))],
+    )
+    def test_rejects_non_integer_sizes(self, field, bad):
+        # a k of 4.7 used to be truncated to 4
+        with pytest.raises(ValueError, match="must be an integer"):
+            tiny_config(**{field: bad})
+
+    def test_numpy_integer_sizes_become_ints(self):
+        cfg = tiny_config(n=np.int64(30), k_values=np.array([5, 12]), trials=np.int32(2))
+        assert (cfg.n, cfg.k_values) == (30, (5, 12))
+        assert type(cfg.n) is int and all(type(k) is int for k in cfg.k_values)
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
     def test_rejects_recovery_tol_that_is_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="recovery_tol"):

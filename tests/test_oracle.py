@@ -221,6 +221,20 @@ class TestTrustedSubsets:
         for subset in result.optimal_subsets + argmin:
             self.assert_public(subset, 12)
 
+    def test_one_object_per_distinct_subset(self, monkeypatch):
+        # the 59,400 optimal pairs share 495 U and 120 V subsets
+        made = []
+        original = NodeSubset._trusted
+
+        def recorded(cls, members, n):
+            made.append((members, n))
+            return original(members, n)
+
+        monkeypatch.setattr(NodeSubset, "_trusted", classmethod(recorded))
+        result = brute_force_dkb(BipartiteGraph(12, 10, np.ones((12, 10), dtype=bool)), 4, 3)
+        assert len(result.optimal_subsets) == 59_400
+        assert len(made) == len(set(made)) == 615
+
     def test_public_constructor_still_checks(self):
         assert NodeSubset((3, 1, 2), 4).members == (1, 2, 3)
         with pytest.raises(ValueError, match="duplicate"):

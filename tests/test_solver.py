@@ -170,6 +170,17 @@ class TestSolveDks:
                 with pytest.raises(ValueError, match="finite"):
                     SolverConfig(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [10.5, 10.0, "10", True])
+    def test_max_iter_must_be_an_integer(self, bad):
+        # 10.5 used to run 11 sweeps and report hit_cap=False
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=bad)
+
+    def test_numpy_integer_max_iter(self):
+        g, k = criterion_3_trial_0()
+        result = solve_dks(g, k, SolverConfig(max_iter=np.int64(10)))
+        assert (result.iterations, result.hit_cap) == (10, True)
+
 
 def pipeline_only(monkeypatch, name):
     """Make solver.<name> drop the leading vector, so that every SVT takes

@@ -583,6 +583,79 @@ class TestRankOneSvt:
             _svt_gram(M, self.PHI, warm_lead(np.eye(40)[0], 9))
 
 
+def route_case(name):
+    """(M, phi, lead, both_tails) that take the named route of
+    _eigenpairs_outside, and the LAPACK routines that route calls."""
+    n = 14 if name == "small" else 40 if name in ("out_of_range", "full") else 60
+    spread = np.linspace(-0.5, 0.5, n)
+    lead = np.zeros(n)
+    both_tails = True
+    if name == "small":
+        # a nonzero lead, which below order 32 is neither read nor written
+        M = symmetric_with_spectrum(np.concatenate([[6.0, -5.0], spread[2:]]), 1)
+        lead[0] = 1.0
+        return M, 1.0, lead, both_tails, {"dsyevd"}
+    if name == "out_of_range":
+        M = symmetric_with_spectrum(np.concatenate([[5.0], spread[1:]]), 2)
+        return M * 1e200, 1e200, lead, both_tails, {"dsyevd"}
+    if name == "partial":
+        M = symmetric_with_spectrum(np.concatenate([[6.0, -5.0], spread[2:]]), 3)
+        return M, 1.0, lead, both_tails, {"dsytrd", "dstebz", "dstein"}
+    if name == "full":
+        # 14 of 40 pairs kept, more than n/5
+        w = np.where(np.arange(n) < 14, 6.0, 0.5) * (-1) ** np.arange(n)
+        return symmetric_with_spectrum(w, 4), 1.0, lead, both_tails, {"dsytrd", "dstebz", "dstevd"}
+    if name == "gershgorin_empty":
+        M = symmetric_with_spectrum(spread, 5)
+        lead[0] = 1.0
+        return M, 1e9, lead, both_tails, {"dsytrd"}
+    # the rank-one route, proved, failed, and on a Gram matrix (one tail)
+    extra = [1.001 * 0.95] if name == "rank_one_fallback" else []
+    w = np.concatenate([[40.0], extra, np.linspace(-0.999, 0.999, n - 1 - len(extra)) * 0.95])
+    Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((n, n)))
+    M, phi = (Q * w) @ Q.T, 0.95
+    if name == "gram_rank_one":
+        M, phi, both_tails = M @ M, phi * phi, False
+    calls = {"dpotrf"} | ({"dsytrd", "dstebz", "dstein"} if extra else set())
+    return (M + M.T) / 2, phi, warm_lead(Q[:, 0], 7), both_tails, calls
+
+
+class TestEigenpairsOutside:
+    """Every route returns exactly the pairs outside [-phi, phi] and leaves
+    the warm vector as documented."""
+
+    ROUTES = (
+        "small", "out_of_range", "partial", "full", "gershgorin_empty",
+        "rank_one", "rank_one_fallback", "gram_rank_one",
+    )
+    NAMES = ("dsyevd", "dsytrd", "dstebz", "dstein", "dstevd", "dpotrf")
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_returns_only_the_pairs_outside(self, monkeypatch, route):
+        M, phi, lead, both_tails, routines = route_case(route)
+        calls = {name: spy(monkeypatch, name) for name in self.NAMES}
+        w, Z = solver._eigenpairs_outside(M, phi, lead, both_tails)
+        assert {name for name, made in calls.items() if made} == routines
+        scale = float(np.abs(M).max())
+        ref = np.linalg.eigvalsh(M / scale) * scale
+        assert np.allclose(np.sort(w), ref[np.abs(ref) > phi], rtol=1e-10, atol=0.0)
+        assert (np.abs(w) > phi).all() and Z.shape == (M.shape[0], w.size)
+        assert np.allclose(Z.T @ Z, np.eye(w.size), rtol=0.0, atol=1e-10)
+        assert np.allclose((M / scale) @ Z, Z * (w / scale), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_lead_ends_as_documented(self, route):
+        M, phi, lead, both_tails, _ = route_case(route)
+        before = lead.copy()
+        w, Z = solver._eigenpairs_outside(M, phi, lead, both_tails)
+        if M.shape[0] < solver._SMALL_ORDER:
+            assert np.array_equal(lead, before)
+        elif w.size == 1:
+            assert np.array_equal(lead, Z[:, 0]) and not np.shares_memory(lead, Z)
+        else:
+            assert not lead.any()
+
+
 class TestProjectSum:
     def test_zero_matrix(self):
         out = project_sum(np.zeros((4, 4)), 4.0)
