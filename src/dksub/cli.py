@@ -77,38 +77,46 @@ def _find_truth(args) -> Path | None:
     return candidate if candidate.exists() else None
 
 
-def _cmd_solve(args) -> int:
-    kind = io.sniff_kind(args.graph)
-    cfg = SolverConfig(**_solver_flags(args))
-    truth_file = _find_truth(args)
-    payload: dict = {}
-    if kind == "graph":
+def _read_problem(args):
+    """The graph file and its size: (Graph, k), or (BipartiteGraph, (k1, k2))."""
+    if io.sniff_kind(args.graph) == "graph":
         if args.k is None:
             raise ValueError("--k is required for a unipartite graph")
-        g = io.read_graph(args.graph)
-        result = solver.solve_dks(g, args.k, cfg)
-        rounded = solver.round_to_subset(result.X, args.k)
-        payload["recovered_subset"] = list(rounded.members)
-    else:
-        if args.k1 is None or args.k2 is None:
-            raise ValueError("--k1 and --k2 are required for a bipartite graph")
-        g = io.read_bipartite(args.graph)
-        result = solver.solve_dkb(g, args.k1, args.k2, cfg)
-        su, sv = solver.round_to_subset(result.X, (args.k1, args.k2))
-        payload["recovered_subset"] = {"u": list(su.members), "v": list(sv.members)}
+        return io.read_graph(args.graph), args.k
+    if args.k1 is None or args.k2 is None:
+        raise ValueError("--k1 and --k2 are required for a bipartite graph")
+    return io.read_bipartite(args.graph), (args.k1, args.k2)
+
+
+def _members(subsets) -> list | dict:
+    """JSON form of a NodeSubset, or of a (u, v) pair of them."""
+    if isinstance(subsets, tuple):
+        return {"u": _members(subsets[0]), "v": _members(subsets[1])}
+    return list(subsets.members)
+
+
+def _solve_report(result: solver.SolverResult) -> dict:
+    """The SolverResult fields that solve and bench both report."""
+    fields = ("converged", "iterations", "hit_cap", "blas_threads")
+    return {name: getattr(result, name) for name in fields} | result.anderson_counts()
+
+
+def _cmd_solve(args) -> int:
+    cfg = SolverConfig(**_solver_flags(args))
+    g, k = _read_problem(args)
+    pair = isinstance(k, tuple)
+    result = solver.solve_dkb(g, *k, cfg) if pair else solver.solve_dks(g, k, cfg)
+    payload = {"recovered_subset": _members(solver.round_to_subset(result.X, k))}
+    truth_file = _find_truth(args)
     if truth_file:
         truth = io.read_ground_truth(truth_file)
-        planted = truth.subset(g) if kind == "graph" else truth.subsets(g)
+        planted = truth.subsets(g) if pair else truth.subset(g)
         payload["X_relative_error_vs_ground_truth"] = solver.relative_error(result.X, planted)
     payload.update(
-        converged=result.converged,
-        iterations=result.iterations,
-        hit_cap=result.hit_cap,
+        _solve_report(result),
         objective=result.objective,
         primal_residual=result.primal_residual,
         dual_residual=result.dual_residual,
-        blas_threads=result.blas_threads,
-        **result.anderson_counts(),
     )
     _json_out(payload, args.out)
     return 0
@@ -157,25 +165,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    kind = io.sniff_kind(args.graph)
-    if kind == "graph":
-        if args.k is None:
-            raise ValueError("--k is required for a unipartite graph")
-        g = io.read_graph(args.graph)
-        result = oracle.brute_force_dks(g, args.k)
-        first = list(result.optimal_subsets[0].members)
-    else:
-        if args.k1 is None or args.k2 is None:
-            raise ValueError("--k1 and --k2 are required for a bipartite graph")
-        g = io.read_bipartite(args.graph)
-        result = oracle.brute_force_dkb(g, args.k1, args.k2)
-        su, sv = result.optimal_subsets[0]
-        first = {"u": list(su.members), "v": list(sv.members)}
+    g, k = _read_problem(args)
+    pair = isinstance(k, tuple)
+    result = oracle.brute_force_dkb(g, *k) if pair else oracle.brute_force_dks(g, k)
     _json_out(
         {
             "best_edge_count": result.best_edge_count,
             "num_optima": len(result.optimal_subsets),
-            "first_optimum": first,
+            "first_optimum": _members(result.optimal_subsets[0]),
         },
         args.out,
     )
@@ -183,26 +180,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _phase_config(args) -> experiments.PhaseGridConfig:
+    """The config file's object under the grid flags given; PhaseGridConfig
+    supplies the rest and rejects an unknown key with a TypeError."""
     raw: dict = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: the config must be a JSON object")
-    cfg = SolverConfig(**{**raw.get("solver", {}), **_solver_flags(args)})
-    fields = {
-        "n": args.n if args.n is not None else raw.get("n", 250),
-        "q": args.q if args.q is not None else raw.get("q", 0.25),
-        "p_values": tuple(args.p_list) if args.p_list else tuple(
-            raw.get("p_values", experiments.DEFAULT_P_VALUES)
-        ),
-        "k_values": tuple(args.k_list) if args.k_list else tuple(
-            raw.get("k_values", experiments.DEFAULT_K_VALUES)
-        ),
-        "trials": args.trials if args.trials is not None else raw.get("trials", 10),
-        "master_seed": args.seed if args.seed is not None else raw.get("master_seed", 0),
-        "recovery_tol": raw.get("recovery_tol", 1e-3),
-    }
-    return experiments.PhaseGridConfig(solver=cfg, **fields)
+    cfg = SolverConfig(**{**raw.pop("solver", {}), **_solver_flags(args)})
+    grid = {f.name for f in dataclasses.fields(experiments.PhaseGridConfig)}
+    flags = {key: v for key, v in vars(args).items() if key in grid and v is not None}
+    return experiments.PhaseGridConfig(**{**raw, **flags}, solver=cfg)
 
 
 def _cmd_phase(args) -> int:
@@ -233,14 +221,10 @@ def _cmd_bench(args) -> int:
     elapsed = time.perf_counter() - start
     _json_out(
         {
+            **_solve_report(result),
             "wall_time_s": elapsed,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "hit_cap": result.hit_cap,
-            **result.anderson_counts(),
             "ms_per_iteration": 1000.0 * elapsed / max(result.iterations, 1),
             "relative_error": solver.relative_error(result.X, inst.planted),
-            "blas_threads": result.blas_threads,
         },
         args.out,
     )
@@ -254,6 +238,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--mode", choices=("paper", "derived"))
+
+
+def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--k", type=int)
+    p.add_argument("--k1", type=int)
+    p.add_argument("--k2", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,10 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     slv = sub.add_parser("solve", help="run the ADMM solver on a graph file")
-    slv.add_argument("--graph", required=True)
-    slv.add_argument("--k", type=int)
-    slv.add_argument("--k1", type=int)
-    slv.add_argument("--k2", type=int)
+    _add_problem_flags(slv)
     slv.add_argument("--ground-truth")
     _add_solver_flags(slv)
     slv.add_argument("--out")
@@ -305,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=_cmd_certify)
 
     orc = sub.add_parser("oracle", help="brute-force densest subgraph on a small graph")
-    orc.add_argument("--graph", required=True)
-    orc.add_argument("--k", type=int)
-    orc.add_argument("--k1", type=int)
-    orc.add_argument("--k2", type=int)
+    _add_problem_flags(orc)
     orc.add_argument("--out")
     orc.set_defaults(func=_cmd_oracle)
 
@@ -316,10 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--config", help="JSON config file; flags override its values")
     ph.add_argument("--n", type=int)
     ph.add_argument("--q", type=float)
-    ph.add_argument("--p-list", type=float, nargs="+")
-    ph.add_argument("--k-list", type=int, nargs="+")
+    # dest is the PhaseGridConfig field each flag overrides
+    ph.add_argument("--p-list", type=float, nargs="+", dest="p_values")
+    ph.add_argument("--k-list", type=int, nargs="+", dest="k_values")
     ph.add_argument("--trials", type=int)
-    ph.add_argument("--seed", type=int)
+    ph.add_argument("--seed", type=int, dest="master_seed")
     ph.add_argument("--jobs", type=int, default=1)
     ph.add_argument("--out-csv")
     ph.add_argument("--out-svg")
@@ -348,7 +334,7 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    # MemoryError: a header that declares more nodes than a dense matrix can hold
+    # MemoryError: a graph header below the size guard that memory still cannot hold
     except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,12 +27,15 @@ from .solver import SolverConfig, _one_blas_thread, _require_int, relative_error
 
 @dataclass(frozen=True)
 class PhaseGridConfig:
-    n: int
-    q: float
-    p_values: tuple[float, ...]
-    k_values: tuple[int, ...]
-    trials: int
-    master_seed: int
+    """A (p, k) recovery grid.  The defaults are the desk-scale grid, whose
+    axes subsample the full sweep for minutes-scale runtime."""
+
+    n: int = 250
+    q: float = 0.25
+    p_values: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
+    k_values: tuple[int, ...] = (10, 25, 50, 75, 100, 125, 150)
+    trials: int = 10
+    master_seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
     recovery_tol: float = 1e-3
 
@@ -56,12 +59,6 @@ class PhaseGridConfig:
             raise ValueError("recovery_tol must be positive and finite")
         if any(p + self.q >= 1 for p in self.p_values):
             warnings.warn("some cells have p + q >= 1; recovery is not expected there")
-
-
-# Desk-scale default grid; the axes are a subsample of the full sweep chosen
-# for minutes-scale runtime.
-DEFAULT_P_VALUES = (0.0, 0.05, 0.10, 0.15, 0.20)
-DEFAULT_K_VALUES = (10, 25, 50, 75, 100, 125, 150)
 
 
 @dataclass(frozen=True)

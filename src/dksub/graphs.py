@@ -3,10 +3,27 @@ the rank-one-plus-correction matrix pair used throughout the package."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+
+def _adjacency(rows: int, cols: int, edges: list) -> np.ndarray:
+    """Boolean matrix, True at each (u, v) of edges, which the caller has checked.
+    A graph file's header sets the size, so one above half of physical memory is
+    refused before allocation (where os.sysconf can tell the memory size)."""
+    try:
+        half = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    except (AttributeError, ValueError, OSError):
+        half = 0
+    if rows > 0 and 0 < half < rows * cols:
+        raise ValueError(f"a {rows}x{cols} adjacency exceeds half of physical memory ({half} B)")
+    adj = np.zeros((rows, cols), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+    return adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,12 +48,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = np.zeros((n, n), dtype=bool)
+        edges = list(edges)
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
-            adj[u, v] = adj[v, u] = True
-        return cls(n, adj)
+        return cls(n, _adjacency(n, n, edges + [(v, u) for u, v in edges]))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -73,12 +89,11 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        biadj = np.zeros((n1, n2), dtype=bool)
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < n1 and 0 <= v < n2):
                 raise ValueError(f"bad edge ({u}, {v}) for parts ({n1}, {n2})")
-            biadj[u, v] = True
-        return cls(n1, n2, biadj)
+        return cls(n1, n2, _adjacency(n1, n2, edges))
 
     @property
     def edge_count(self) -> int:

@@ -3,13 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from dksub import solver
-from dksub.cli import _solver_flags, build_parser, main
+from dksub import graphs, solver
+from dksub.cli import _phase_config, _solver_flags, build_parser, main
+from dksub.experiments import PhaseGridConfig
 from dksub.io import read_graph, truth_path
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def generate_dkb(tmp_path, n1, n2, k1, k2, p, q, seed):
+    out = tmp_path / "b.txt"
+    rc = run(
+        ["generate", "--model", "dkb", "--n1", n1, "--n2", n2, "--k1", k1, "--k2", k2,
+         "--p", p, "--q", q, "--seed", seed, "--out", out]
+    )
+    assert rc == 0
+    return out
 
 
 def generate_dks(tmp_path, n=20, k=8, p=0.0, q=0.0, seed=1, extra=()):
@@ -140,6 +151,31 @@ class TestSolve:
         assert run(["solve", "--graph", graph_file, "--k", 3]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "header,sizes", [("1000000 0", ["--k", 3]), ("1000000 1000000 0", ["--k1", 3, "--k2", 3])]
+    )
+    def test_oversized_header_is_refused_before_allocation(
+        self, tmp_path, capsys, monkeypatch, header, sizes
+    ):
+        class NumpySpy:
+            def __init__(self):
+                self.zeros_calls = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                self.zeros_calls.append(args)
+                raise MemoryError("numpy.zeros called")
+
+        spy = NumpySpy()
+        monkeypatch.setattr(graphs, "np", spy)
+        graph_file = tmp_path / "huge.txt"
+        graph_file.write_text(header + "\n", encoding="utf-8")
+        assert run(["solve", "--graph", graph_file, *sizes]) == 2
+        assert "exceeds half of physical memory" in capsys.readouterr().err
+        assert spy.zeros_calls == []
+
 
 class TestCertify:
     def test_valid_certificate_json(self, tmp_path):
@@ -193,6 +229,25 @@ class TestOracleCmd:
     def test_guard_is_bad_input(self, tmp_path):
         out = generate_dks(tmp_path, n=40, k=8)
         assert run(["oracle", "--graph", out, "--k", 20]) == 2
+
+    def test_bipartite(self, tmp_path, capsys):
+        out = generate_dkb(tmp_path, n1=10, n2=9, k1=4, k2=3, p=0.1, q=0.3, seed=5)
+        capsys.readouterr()
+        assert run(["oracle", "--graph", out, "--k1", 4, "--k2", 3]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "best_edge_count": 10,
+            "num_optima": 2,
+            "first_optimum": {"u": [0, 3, 7, 8], "v": [0, 4, 7]},
+        }
+
+    @pytest.mark.parametrize("command", ["oracle", "solve"])
+    @pytest.mark.parametrize("sizes", [[], ["--k1", 4], ["--k2", 3], ["--k", 4]])
+    def test_bipartite_without_k1_k2_is_bad_input(self, tmp_path, capsys, command, sizes):
+        out = generate_dkb(tmp_path, n1=10, n2=9, k1=4, k2=3, p=0.1, q=0.3, seed=5)
+        capsys.readouterr()
+        assert run([command, "--graph", out, *sizes]) == 2
+        assert "--k1 and --k2 are required" in capsys.readouterr().err
 
 
 class TestPhase:
@@ -271,6 +326,50 @@ class TestPhase:
             argv += ["--p-list", 0.0]
         assert run(argv) == 2
         assert "must lie in [0, 1]" in capsys.readouterr().err
+
+
+class TestPhaseConfig:
+    CONFIG = {"n": 30, "q": 0.2, "p_values": [0.0], "k_values": [5], "trials": 2, "master_seed": 1}
+
+    @pytest.mark.parametrize(
+        "flags,field,value",
+        [
+            (["--n", 40], "n", 40),
+            (["--q", 0.1], "q", 0.1),
+            (["--p-list", 0.05, 0.1], "p_values", (0.05, 0.1)),
+            (["--k-list", 6, 8], "k_values", (6, 8)),
+            (["--trials", 3], "trials", 3),
+            (["--seed", 9], "master_seed", 9),
+        ],
+    )
+    def test_flag_overrides_config_key(self, tmp_path, flags, field, value):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(self.CONFIG), encoding="utf-8")
+        args = build_parser().parse_args(["phase", "--config", str(path), *map(str, flags)])
+        assert _phase_config(args) == PhaseGridConfig(**{**self.CONFIG, field: value})
+
+    def test_no_flags_and_no_file_give_the_default_grid(self):
+        cfg = _phase_config(build_parser().parse_args(["phase"]))
+        assert cfg == PhaseGridConfig()
+        assert cfg == PhaseGridConfig(
+            n=250, q=0.25, p_values=(0.0, 0.05, 0.10, 0.15, 0.20),
+            k_values=(10, 25, 50, 75, 100, 125, 150), trials=10, master_seed=0,
+            solver=solver.SolverConfig(), recovery_tol=1e-3,
+        )
+
+    def test_unknown_key_is_bad_input(self, tmp_path, capsys):
+        # a misspelt "trials" used to run the default 10 trials and exit 0
+        path = tmp_path / "grid.json"
+        grid = {"n": 10, "q": 0.0, "p_values": [0.0], "k_values": [3], "trails": 1}
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        assert run(["phase", "--config", path, "--jobs", 1]) == 2
+        assert "trails" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[500], 500, "max_iter", None])
+    def test_solver_that_is_not_an_object_is_bad_input(self, tmp_path, value):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"n": 10, "k_values": [3], "solver": value}), encoding="utf-8")
+        assert run(["phase", "--config", path, "--jobs", 1]) == 2
 
 
 class TestSolverFlags:

@@ -54,6 +54,25 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda edges: Graph.from_edges(10**7, edges),
+         lambda edges: BipartiteGraph.from_edges(10**7, 10**7, edges)],
+        ids=["graph", "bipartite"],
+    )
+    def test_from_edges_refuses_a_matrix_above_half_of_memory(self, build):
+        with pytest.raises(ValueError, match="half of physical memory"):
+            build([(0, 1)])
+        # the edges are checked before the size
+        with pytest.raises(ValueError, match="bad edge"):
+            build([(-1, 1)])
+
+    def test_size_guard_is_skipped_without_sysconf(self, monkeypatch):
+        monkeypatch.delattr("dksub.graphs.os.sysconf")
+        g = Graph.from_edges(3, (e for e in [(0, 1), (1, 2)]))
+        assert g.edges() == [(0, 1), (1, 2)]
+        assert BipartiteGraph.from_edges(2, 3, [(1, 2)]).edges() == [(1, 2)]
+
 
 class TestNodeSubset:
     def test_sorted_and_validated(self):
