@@ -187,7 +187,10 @@ def _phase_config(args) -> experiments.PhaseGridConfig:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: the config must be a JSON object")
-    cfg = SolverConfig(**{**raw.pop("solver", {}), **_solver_flags(args)})
+    solver_raw = raw.pop("solver", {})
+    if not isinstance(solver_raw, dict):
+        raise ValueError(f"{args.config}: \"solver\" must be a JSON object")
+    cfg = SolverConfig(**{**solver_raw, **_solver_flags(args)})
     grid = {f.name for f in dataclasses.fields(experiments.PhaseGridConfig)}
     flags = {key: v for key, v in vars(args).items() if key in grid and v is not None}
     return experiments.PhaseGridConfig(**{**raw, **flags}, solver=cfg)

@@ -155,6 +155,8 @@ def run_phase_diagram(
     thread, so forked workers start on one and their solves never call a
     thread setter (which would start OpenBLAS's thread pool in each worker).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (p_idx, k_idx, trial)
         for p_idx in range(len(cfg.p_values))

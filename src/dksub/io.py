@@ -136,6 +136,6 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     sizes = tuple(int(t) for t in raw[0].split())
     planted = tuple(int(t) for t in raw[1].split())
     params = json.loads(raw[2])
-    if len(sizes) not in (1, 2):
-        raise ValueError(f"{path}: first line must hold k or k1 k2")
+    if len(sizes) not in (1, 2) or min(sizes) < 1:
+        raise ValueError(f"{path}: first line must hold k or k1 k2, each at least 1")
     return GroundTruth(sizes=sizes, planted=planted, params=params)

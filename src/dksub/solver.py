@@ -24,7 +24,7 @@ around admits two readings that do not agree:
   (U = Lambda/tau).  The projection onto the sum constraint only shifts, so
   W is X plus a constant and U_W is a constant: the sweep holds both as
   scalars (see _DerivedSweep).  A solve still unconverged after 100 sweeps
-  continues under safeguarded Anderson acceleration (see _anderson_phase).
+  continues under safeguarded Anderson acceleration (see _derived_loop).
 * ``paper``: the alternative printed recipe, kept verbatim for comparison:
   X via thresholding at tau of Q + 2X - Z - W - Lambda_W, Y via
   S_{tau*gamma}(Y - tau*Q), unscaled duals, and the Q/dual updates projected
@@ -558,41 +558,42 @@ class _Sweeps:
         return self.converged or len(self.rows) >= self.max_iter
 
 
-class _Iterates:
-    """The iterates of a derived sweep.  The sum-constraint copy W = X + ws
-    and its scaled multiplier LW = lw are held as the scalars ws and lw:
-    the projection onto the sum constraint only shifts, so LW starts and
-    stays constant."""
+class _Point:
+    """A state of the derived sweep.  z is flat, of length 3 n1 n2 + 1, and
+    holds U = Q - X - LQ, the sweep's soft-threshold argument, V = X + LZ,
+    its clamp argument (LQ and LZ from before the sweep), X, and lw sqrt(n1 n2)
+    last, so that ||z|| is the Frobenius norm of (U, V, X, LW).  Unweighted,
+    LW's steady drift on a plateau of the sweep hardly counted in
+    ||F(z) - z||, and mixing stalled there: an n=250, k=10 solve that plain
+    ADMM converges in 1339 sweeps cycled at the primal residual 0.2 until
+    the cap.
 
-    def __init__(self, shape: tuple[int, int], sum_target: float):
-        self.X = np.full(shape, sum_target / math.prod(shape))
-        self.Y = -self.X
-        self.Z = self.X.copy()
-        self.LQ, self.LZ = np.zeros(shape), np.zeros(shape)
-        self.ws = self.lw = 0.0
+    Beside z it holds what the next sweep reads: cu = -LQ, cv = Z and ws,
+    the shift that brings the sum of X to its target (W = X + ws).  After a
+    sweep they are clip(U, -gamma/tau, gamma/tau), clamp(V) and the shift
+    of X, so Y = S(U) = U - cu and LZ = V - cv."""
+
+    __slots__ = ("z", "U", "V", "X", "cu", "cv", "ws")
+
+    def __init__(self, shape: tuple[int, int]):
+        self.z = np.zeros(3 * math.prod(shape) + 1)
+        self.U, self.V, self.X = self.z[:-1].reshape(3, *shape)
+        self.cu, self.cv = np.zeros(shape), np.zeros(shape)
+        self.ws = 0.0
 
 
 class _DerivedSweep:
-    """The derived ADMM sweep, in place on an _Iterates, and the state
-    z = (U, V, X, LW) that the sweep is a fixed-point map of.
+    """The derived ADMM sweep, in place on a _Point: the map z <- F(z).
 
-    With W = X + ws and LW = lw held as scalars (see _Iterates), the sweep
+    With W = X + ws and LW = lw held as scalars (the projection onto the sum
+    constraint only shifts, so LW starts and stays constant), the sweep
     never forms W: W - LW enters the X-step as a shift, the new ws is
     (sum_target - sum(X)) / (n1 n2), and the sum constraint's residuals are
-    |ws| sqrt(n1 n2) (primal) and ||X - X_prev + ws - ws_prev|| (dual).  Two
-    more identities save passes: the new LQ = Y - U is -clip(U), and
-    X + Y - Q equals the new LQ minus the old, so one norm gives the third
-    primal residual and, times tau, the third dual one.
-
-    U = Q - X - LQ is the sweep's soft-threshold argument and V = X + LZ its
-    clamp argument (LQ and LZ from before the sweep).  z holds the other
-    iterates: Y = S(U) and LQ = Y - U (soft threshold at gamma/tau),
-    Z = clamp(V) and LZ = V - Z, and ws from sum(X).  z is flat, of length
-    3 n1 n2 + 1; its last entry is lw sqrt(n1 n2), so that ||z|| is the
-    Frobenius norm of (U, V, X, LW).  Unweighted, LW's steady drift on a
-    plateau of the sweep hardly counted in ||F(z) - z||, and mixing stalled
-    there: an n=250, k=10 solve that plain ADMM converges in 1339 sweeps
-    cycled at the primal residual 0.2 until the cap.
+    |ws| sqrt(n1 n2) (primal) and ||X - X_prev + ws - ws_prev|| (dual).  The
+    other iterates come from the point as Y + LQ = U - 2 cu and
+    Z - LZ = 2 cv - V.  X + Y - Q is the new LQ minus the old, so
+    ||cu - cu_new|| is the third primal residual and, times tau, the third
+    dual one.
     """
 
     def __init__(self, nonedge, sum_target, gamma, tau, shrink):
@@ -606,87 +607,78 @@ class _DerivedSweep:
         self.tau = tau
         self.phi_x = 1.0 / (3.0 * tau)
         self.phi_y = gamma / tau
-        # Q, the next Z and LQ, and two temporaries, reused by every sweep
-        self.Q, self.Zn, self.LQn, self.C, self.T = (np.empty(self.shape) for _ in range(5))
+        # Q, two temporaries and the next cu and cv, reused by every sweep
+        self.Q, self.C, self.T, self.cu, self.cv = (np.empty(self.shape) for _ in range(5))
         # the shrink's leading vector, carried from sweep to sweep
         self.lead = np.zeros(min(self.shape))
 
-    def __call__(self, s: _Iterates) -> tuple[float, float, int] | None:
-        """One sweep of s in place: (rp, rd, kept SVT rank), or None, with s
+    def start(self) -> _Point:
+        """The start point: X = Z = sum_target / (n1 n2), Y = -X and every
+        multiplier zero, so U = -X, V = X, cu = 0 and cv = X."""
+        p = _Point(self.shape)
+        p.X.fill(self.sum_target / self.size)
+        np.negative(p.X, out=p.U)
+        p.V[:] = p.cv[:] = p.X
+        return p
+
+    def load(self, p: _Point) -> None:
+        """Set cu, cv and ws of p from its z."""
+        np.clip(p.U, -self.phi_y, self.phi_y, out=p.cu)
+        clamp_box(p.V, out=p.cv)
+        p.ws = self._shift(p.X)
+
+    def __call__(self, p: _Point) -> tuple[float, float, int] | None:
+        """One sweep of p in place: (rp, rd, kept SVT rank), or None, with p
         unchanged, when the X-step input is not finite."""
         norm = np.linalg.norm
         Q, C, T = self.Q, self.C, self.T
-        X_prev = s.X
-        # Q = X + Y + LQ on its support
-        np.add(s.Y, s.LQ, out=T)
+        U, V, X_prev, cu, cv = p.U, p.V, p.X, p.cu, p.cv
+        # Q = X + Y + LQ on its support, Y + LQ = U - 2 cu in T
+        np.subtract(U, cu, out=T)
+        T -= cu
         np.add(X_prev, T, out=Q)
         Q *= self.keep
         # C = ((Q - Y - LQ) + (W - LW) + (Z - LZ)) / 3, W - LW = X + ws - lw
         np.subtract(Q, T, out=C)
         C += X_prev
-        C += s.Z
-        C -= s.LZ
-        C += s.ws - s.lw
+        C -= V
+        C += cv
+        C += cv
+        C += p.ws - p.z[-1] / self.root_size
         C *= 1.0 / 3.0  # a divide pass costs about four multiply passes
         if not np.isfinite(C).all():
             return None
         X, rank = self.shrink(C, self.phi_x, self.lead)
-        # U = Q - X - LQ, in Q's buffer; Y = S(U) and the new LQ = Y - U
-        U = Q
-        U -= X
-        U -= s.LQ
-        soft_threshold(U, self.phi_y, out=s.Y)
-        LQn, Zn = self.LQn, self.Zn
-        np.subtract(s.Y, U, out=LQn)
-        ws = self._shift(X)
-        # V = X + LZ, in LZ's buffer; Z = clamp(V) and the new LZ = V - Z
-        V = s.LZ
+        # the new U = Q - X - LQ and V = X + LZ, and their clip and clamp
+        cu_next, cv_next = self.cu, self.cv
+        np.subtract(Q, X, out=U)
+        U += cu
+        np.clip(U, -self.phi_y, self.phi_y, out=cu_next)
         V += X
-        clamp_box(V, out=Zn)
-        V -= Zn
+        V -= cv
+        clamp_box(V, out=cv_next)
+        ws = self._shift(X)
         # each primal residual is also its scaled dual's step: X - W = -ws,
-        # and X + Y - Q = LQn - LQ, whose norm times tau is also the third
+        # and X + Y - Q = cu - cu_next, whose norm times tau is also the third
         # dual residual
-        r_z = float(norm(np.subtract(X, Zn, out=T)))
-        r_q = float(norm(np.subtract(LQn, s.LQ, out=T)))
+        r_z = float(norm(np.subtract(X, cv_next, out=T)))
+        r_q = float(norm(np.subtract(cu, cu_next, out=T)))
         rp = max(abs(ws) * self.root_size, r_z, r_q)
         np.subtract(X, X_prev, out=T)
-        T += ws - s.ws
+        T += ws - p.ws
         d_w = float(norm(T))
-        d_z = float(norm(np.subtract(Zn, s.Z, out=T)))
+        d_z = float(norm(np.subtract(cv_next, cv, out=T)))
         rd = max(d_w, d_z, self.tau * r_q)  # the unscaled multiplier change
-        s.X, s.ws = X, ws
-        s.lw -= ws
-        s.Z, self.Zn = Zn, s.Z
-        s.LQ, self.LQn = LQn, s.LQ
+        np.copyto(X_prev, X)
+        p.z[-1] -= ws * self.root_size
+        p.ws = ws
+        p.cu, self.cu = cu_next, cu
+        p.cv, self.cv = cv_next, cv
         return rp, rd, rank
 
     def _shift(self, X: np.ndarray) -> float:
         """ws for X: the constant that brings its sum to sum_target."""
         return (self.sum_target - float(X.sum())) / self.size
-
-    def _parts(self, z: np.ndarray) -> np.ndarray:
-        return z[:-1].reshape(3, *self.shape)
-
-    def pack(self, s: _Iterates, z: np.ndarray) -> None:
-        """Write the state of s into z.  U and V are rebuilt from the
-        sweep's outputs, to rounding, so the sweep keeps no extra buffer."""
-        U, V, X = self._parts(z)
-        np.subtract(s.Y, s.LQ, out=U)
-        np.add(s.Z, s.LZ, out=V)
-        np.copyto(X, s.X)
-        z[-1] = s.lw * self.root_size
-
-    def unpack(self, z: np.ndarray, s: _Iterates) -> None:
-        """Set the iterates of s from the state z."""
-        U, V, X = self._parts(z)
-        np.copyto(s.X, X)
-        soft_threshold(U, self.phi_y, out=s.Y)
-        np.subtract(s.Y, U, out=s.LQ)
-        clamp_box(V, out=s.Z)
-        np.subtract(V, s.Z, out=s.LZ)
-        s.ws = self._shift(s.X)
-        s.lw = float(z[-1]) / self.root_size
 
 
 def _mixing_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -718,11 +710,11 @@ class _AndersonMemory:
     def clear(self) -> None:
         self.count = self.slot = 0
 
-    def mix(self, f, g, f_prev, g_prev) -> np.ndarray | None:
-        """Push the secant pair of the last step, from the point with map
-        value f_prev and residual g_prev to the point with f and g, and
-        return the mixed point f - dF c, with c from _mixing_coefficients;
-        None when there is none.
+    def push(self, g, g_prev, f=None, f_prev=None) -> None:
+        """Add the secant pair of the step from the point with residual
+        g_prev and map value f_prev to the point with g and f.  A plain step
+        goes from z to F(z), so its map value moves by F(z) - z = -g, and f
+        and f_prev are left out.
 
         One pass over the history per call: the new column of the Gram
         matrix is dG'dg for the new pair dg, and since g = g_prev + dg, the
@@ -732,7 +724,10 @@ class _AndersonMemory:
         j = self.slot
         dg = self.dG[j]
         np.subtract(g, g_prev, out=dg)
-        np.subtract(f, f_prev, out=self.dF[j])
+        if f is None:
+            np.negative(g, out=self.dF[j])
+        else:
+            np.subtract(f, f_prev, out=self.dF[j])
         self.slot = (j + 1) % len(self.dG)
         self.count = n = min(self.count + 1, len(self.dG))
         column = self.dG[:n] @ dg
@@ -740,69 +735,75 @@ class _AndersonMemory:
         self.rhs[:n] += column
         np.copyto(self.g, g, casting="same_kind")
         self.rhs[j] = dg @ self.g
+
+    def mix(self, f: np.ndarray, out: np.ndarray) -> bool:
+        """Write the mixed point f - dF c into out, with c from
+        _mixing_coefficients; False, with out untouched, when there is
+        none."""
+        n = self.count
         c = _mixing_coefficients(self.gram[:n, :n], self.rhs[:n])
         if c is None:
-            return None
-        return f - c.astype(np.float32) @ self.dF[:n]
+            return False
+        np.subtract(f, c.astype(np.float32) @ self.dF[:n], out=out)
+        return True
 
 
-def _anderson_phase(sweep: _DerivedSweep, a: _Iterates, sweeps: _Sweeps) -> _Iterates:
-    """Continue a derived solve from the iterates a as the fixed-point
-    iteration z <- F(z) of the sweep, accelerated by type-II Anderson mixing
-    (Walker & Ni 2011) under the safeguard of Zhang, O'Donoghue & Boyd
-    (2020); returns the iterates of the current state.
+def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
+    """Run the derived sweep from its start point; returns the current point.
 
-    Each candidate z~ is checked with one exact sweep, and accepted only if
-    ||F(z~) - z~|| <= ||F(z) - z|| at the current point z.  Otherwise, or
-    when z~ gives a non-finite X-step input, the memory is cleared and the
-    plain step z <- F(z) is taken.  Every sweep, a rejected candidate's
-    included, is recorded and counts toward max_iter; the stop rule reads
-    the sweeps at the current state only.
+    From sweep _ANDERSON_START on, the iteration z <- F(z) is accelerated by
+    type-II Anderson mixing (Walker & Ni 2011) under the safeguard of Zhang,
+    O'Donoghue & Boyd (2020).  The current point p holds F(z) for the last
+    point z taken, whose residual is g = z - F(z).  Each candidate z~ is
+    checked with one exact sweep, and accepted only if
+    ||F(z~) - z~|| <= ||g||.  Otherwise, or when z~ gives a non-finite
+    X-step input, the memory is cleared and the plain step from p is taken.
+    Every sweep, a rejected candidate's included, is recorded and counts
+    toward max_iter; the stop rule reads the sweeps at the current point
+    only.
     """
-    length = 3 * sweep.size + 1
-    memory = _AndersonMemory(length, _ANDERSON_MEMORY)
-    b = _Iterates(sweep.shape, sweep.sum_target)
-    # map values and residuals at the current point, the previous one and
-    # the candidate
-    f, g, f_prev, g_prev, f_cand, g_cand = (np.empty(length) for _ in range(6))
-    sweep.pack(a, f)
-    # whether g, and g_prev, hold the residual at their point: sweep 100's
-    # output is the first point, and its residual is not known
-    have_g = have_pair = False
+    p = sweep.start()
+    memory = None
     while not sweeps.done:
-        if have_pair:
-            z_cand = memory.mix(f, g, f_prev, g_prev)
-            if z_cand is not None:
-                sweep.unpack(z_cand, b)
-                out = sweep(b)
+        if memory is not None and memory.count:
+            if memory.mix(p.z, b.z):
+                sweep.load(b)
+                np.copyto(g_next, b.z)
+                row = sweep(b)
                 # a candidate whose X-step input is not finite ran no SVT and
                 # gets no row, but is rejected like any other
-                if out is not None:
-                    sweep.pack(b, f_cand)
-                    np.subtract(z_cand, f_cand, out=g_cand)
-                    cand_norm = math.sqrt(g_cand @ g_cand)
-                    if cand_norm <= g_norm:
-                        sweeps.add(*out, ACCEPTED)
-                        a, b = b, a
-                        f_prev, f, f_cand = f, f_cand, f_prev
-                        g_prev, g, g_cand = g, g_cand, g_prev
-                        g_norm = cand_norm
+                if row is not None:
+                    g_next -= b.z
+                    next_norm = math.sqrt(g_next @ g_next)
+                    if next_norm <= g_norm:
+                        sweeps.add(*row, ACCEPTED)
+                        memory.push(g_next, g, b.z, p.z)
+                        p, b = b, p
+                        g, g_next, g_norm = g_next, g, next_norm
                         continue
-                    sweeps.add(*out, REJECTED)
-                memory.clear()
-                if sweeps.done:
-                    break
-        out = sweep(a)
-        if out is None:
+                    sweeps.add(*row, REJECTED)
+            memory.clear()
+            if sweeps.done:
+                break
+        if memory is None and len(sweeps.rows) >= _ANDERSON_START:
+            memory = _AndersonMemory(p.z.size, _ANDERSON_MEMORY)
+            b = _Point(sweep.shape)
+            # the residual at p and that of the next step; the point of
+            # sweep _ANDERSON_START comes first, and its residual is not known
+            g, g_next = np.empty(p.z.size), np.empty(p.z.size)
+            g_norm = None
+        if memory is not None:
+            np.copyto(g_next, p.z)
+        row = sweep(p)
+        if row is None:
             break
-        sweeps.add(*out)
-        f_prev, f = f, f_prev
-        g_prev, g = g, g_prev
-        sweep.pack(a, f)
-        np.subtract(f_prev, f, out=g)
-        g_norm = math.sqrt(g @ g)
-        have_pair, have_g = have_g, True
-    return a
+        sweeps.add(*row)
+        if memory is not None:
+            g_next -= p.z
+            if g_norm is not None:
+                memory.push(g_next, g)
+            g, g_next, g_norm = g_next, g, math.sqrt(g_next @ g_next)
+    return p
 
 
 def _admm(
@@ -824,16 +825,8 @@ def _admm(
             if cfg.mode == "paper":
                 X, Y = _paper_loop(nonedge, sum_target, gamma, cfg.tau, shrink, sweeps)
             else:
-                sweep = _DerivedSweep(nonedge, sum_target, gamma, cfg.tau, shrink)
-                s = _Iterates(nonedge.shape, sum_target)
-                while not sweeps.done and len(sweeps.rows) < _ANDERSON_START:
-                    out = sweep(s)
-                    if out is None:
-                        break
-                    sweeps.add(*out)
-                if out is not None and not sweeps.done:
-                    s = _anderson_phase(sweep, s, sweeps)
-                X, Y = s.X, s.Y
+                p = _derived_loop(_DerivedSweep(nonedge, sum_target, gamma, cfg.tau, shrink), sweeps)
+                X, Y = p.X.copy(), p.U - p.cu
 
         if np.isfinite(X).all():
             objective = _nuclear_norm(X, symmetric) + gamma * float(np.abs(Y).sum())

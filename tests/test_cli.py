@@ -131,6 +131,13 @@ class TestSolve:
         ]
         assert payload["recovered_subset"] == {"u": u, "v": v}
 
+    def test_zero_size_sidecar_is_bad_input(self, tmp_path, capsys):
+        out = generate_dks(tmp_path)
+        truth_path(out).write_text("0\n\n{}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["solve", "--graph", out, "--k", 8]) == 2
+        assert "each at least 1" in capsys.readouterr().err
+
     def test_missing_k_is_bad_input(self, tmp_path):
         out = generate_dks(tmp_path)
         assert run(["solve", "--graph", out]) == 2
@@ -294,6 +301,19 @@ class TestPhase:
         config.write_text("[1, 2]", encoding="utf-8")
         assert run(["phase", "--config", config]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    def test_non_object_solver_config_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"solver": [1]}), encoding="utf-8")
+        assert run(["phase", "--config", config]) == 2
+        assert '"solver" must be a JSON object' in capsys.readouterr().err
+
+    # no large count: that would start real worker processes
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_bad_input(self, capsys, jobs):
+        argv = ["phase", "--n", 10, "--k-list", 3, "--p-list", 0.0, "--trials", 1]
+        assert run([*argv, "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
     def test_recovery_tol_out_of_range_is_bad_input(self, tmp_path, capsys):
         config = tmp_path / "grid.json"

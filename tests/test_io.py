@@ -107,6 +107,14 @@ def test_bipartite_ground_truth_split(tmp_path):
     assert sv.members == (2, 3, 4)
 
 
+@pytest.mark.parametrize("first_line", ["0", "-2", "2 0", "0 3"])
+def test_ground_truth_size_below_one(tmp_path, first_line):
+    path = tmp_path / "g.txt.truth"
+    path.write_text(f"{first_line}\n\n{{}}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="each at least 1"):
+        read_ground_truth(path)
+
+
 def test_truth_path():
     assert str(truth_path("x/g.txt")).endswith("g.txt.truth")
 
@@ -178,7 +186,7 @@ class TestRoundTrips:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.integers(0, 10**6), min_size=1, max_size=2),
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=2),
         st.lists(st.integers(0, 10**6), max_size=12),
         st.dictionaries(
             st.text(),

@@ -339,49 +339,44 @@ class TestDerivedSweep:
     )
     def test_matches_the_matrix_w_sweep(self, instance):
         sweep, (nonedge, sum_target, gamma) = instance()
-        s = solver._Iterates(nonedge.shape, sum_target)
-        ref = {name: np.array(getattr(s, name)) for name in ("X", "Y", "Z", "LQ", "LZ")}
-        ref.update(W=s.X.copy(), LW=np.zeros(nonedge.shape))
+        p = sweep.start()
+        ref = dict(X=p.X.copy(), Y=p.U - p.cu, Z=p.cv.copy(), LQ=-p.cu, LZ=p.V - p.cv)
+        ref.update(W=p.X.copy(), LW=np.zeros(nonedge.shape))
         rows, ref_rows = [], []
         for _ in range(100):
-            rows.append(sweep(s))
+            rows.append(sweep(p))
             ref_rows.append(matrix_w_sweep(ref, nonedge, sum_target, gamma, sweep.tau, sweep.shrink))
         rows, ref_rows = np.array(rows), np.array(ref_rows)
         np.testing.assert_allclose(rows[:, :2], ref_rows[:, :2], rtol=1e-9, atol=1e-12)
         assert np.array_equal(rows[:, 2], ref_rows[:, 2])
-        assert np.abs(s.X - ref["X"]).max() <= 1e-12
-        assert np.abs(s.X + s.ws - ref["W"]).max() <= 1e-12
-        assert np.abs(s.lw - ref["LW"]).max() <= 1e-12
+        assert np.abs(p.X - ref["X"]).max() <= 1e-12
+        assert np.abs(p.X + p.ws - ref["W"]).max() <= 1e-12
+        assert np.abs(p.z[-1] / np.sqrt(sweep.size) - ref["LW"]).max() <= 1e-12
 
-    def test_non_finite_input_leaves_the_iterates_unchanged(self):
+    def test_non_finite_input_leaves_the_point_unchanged(self):
         sweep, _ = n60_square(10)
-        s = solver._Iterates(sweep.shape, sweep.sum_target)
-        s.Z[3, 4] = np.inf
-        before = [np.array(getattr(s, name)) for name in ("X", "Y", "Z", "LQ", "LZ")]
-        assert sweep(s) is None
-        for a, b in zip(before, (s.X, s.Y, s.Z, s.LQ, s.LZ)):
+        p = sweep.start()
+        p.cv[3, 4] = np.inf
+        before = [p.z.copy(), p.cu.copy(), p.cv.copy()]
+        assert sweep(p) is None
+        for a, b in zip(before, (p.z, p.cu, p.cv)):
             assert np.array_equal(a, b)
-        assert s.ws == s.lw == 0.0
+        assert p.ws == 0.0
 
-    def test_anderson_state_round_trip(self):
+    def test_point_rebuilt_from_its_z_sweeps_alike(self):
         g, k = criterion_3_trial_0()
         nonedge = complement_edges(g)
         sweep = solver._DerivedSweep(
             nonedge, float(k * k), default_gamma(k), 0.35, solver._svt_symmetric
         )
-        s = solver._Iterates(nonedge.shape, sweep.sum_target)
+        p = sweep.start()
         for _ in range(120):
-            assert sweep(s) is not None
-        z = np.empty(3 * sweep.size + 1)
-        sweep.pack(s, z)
-        back = solver._Iterates(nonedge.shape, sweep.sum_target)
-        sweep.unpack(z, back)
-        for name in ("X", "Y", "LQ", "Z", "LZ"):
-            a, b = getattr(s, name), getattr(back, name)
-            assert np.linalg.norm(b - a) <= 1e-14 * np.linalg.norm(a), name
-        assert back.ws == pytest.approx(s.ws, rel=1e-14)
-        assert back.lw == pytest.approx(s.lw, rel=1e-14)
-        assert z[-1] == pytest.approx(s.lw * np.sqrt(sweep.size), rel=1e-15)
+            assert sweep(p) is not None
+        rebuilt = solver._Point(sweep.shape)
+        rebuilt.z[:] = p.z
+        sweep.load(rebuilt)
+        assert sweep(rebuilt) == sweep(p)
+        assert np.linalg.norm(rebuilt.z - p.z) <= 1e-14 * np.linalg.norm(p.z)
 
 
 class TestSolveDkb:
