@@ -22,7 +22,6 @@ from .models import (
     AdversarialParams,
     BipartitePlantedInstance,
     BudgetError,
-    DegreeProfile,
     PlantedDkbParams,
     PlantedDksParams,
     PlantedInstance,

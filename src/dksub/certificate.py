@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .graphs import NodeSubset, proposed_solution
+from .graphs import complement_edges, proposed_solution
 from .models import PlantedInstance, degree_profile
 from .solver import _one_blas_thread, default_gamma
 
@@ -109,11 +109,10 @@ def build_multipliers(
     epsilon = default_epsilon(p, q) if epsilon_slack is None else epsilon_slack
 
     members = np.array(inst.planted.members, dtype=np.int64)
-    mask_p = inst.planted.mask()
-    mask_o = ~mask_p
-    n_vec = degree_profile(inst).n_vec
+    outside = ~inst.planted.mask()
+    n_vec = degree_profile(inst)
 
-    bad = np.nonzero(mask_o & (n_vec >= k))[0]
+    bad = np.nonzero(outside & (n_vec >= k))[0]
     if bad.size:
         raise CertificateInfeasibleError(
             f"outside node {int(bad[0])} is adjacent to all {k} planted nodes"
@@ -128,41 +127,26 @@ def build_multipliers(
     y = (k * lam_tilde - (k - 1) * gamma) / (2.0 * k) + (gamma / k) * (
         n_in - n_in.sum() / (2.0 * k)
     )
+    block = np.ix_(members, members)
     M = np.zeros((n, n))
-    M[np.ix_(members, members)] = y[:, None] + y[None, :]
+    M[block] = y[:, None] + y[None, :]
 
-    adj = inst.graph.adj
-    diag = np.eye(n, dtype=bool)
-    keep = adj | diag
-    nonedge = ~keep
-    block = np.outer(mask_p, mask_p)
-    omega = block & nonedge
-
-    W = np.zeros((n, n))
-    F = np.zeros((n, n))
-
-    in_block = block & keep
-    W[in_block] = lam_tilde - M[in_block]
-    W[omega] = lam_tilde - gamma - M[omega]
-    W[keep & ~block] = lam
-
-    oo = np.outer(mask_o, mask_o) & nonedge
-    W[oo] = -lam * p / (1.0 - p)
-    F[oo] = -lam / (gamma * (1.0 - p))
-
-    # Cross nonedges carry the outside endpoint's planted-degree ratio,
-    # mirrored so W stays symmetric.
-    w_out = np.zeros(n)
-    f_out = np.zeros(n)
-    out_idx = np.nonzero(mask_o)[0]
-    w_out[out_idx] = -lam * n_vec[out_idx] / (k - n_vec[out_idx])
-    f_out[out_idx] = -(lam / gamma) * k / (k - n_vec[out_idx])
-    cross_po = np.outer(mask_p, mask_o) & nonedge
-    cross_op = cross_po.T
-    W = np.where(cross_po, w_out[None, :], W)
-    W = np.where(cross_op, w_out[:, None], W)
-    F = np.where(cross_po, f_out[None, :], F)
-    F = np.where(cross_op, f_out[:, None], F)
+    # W and F by entry class: edges and the diagonal, outside nonedges, cross
+    # nonedges, then the planted block.  A cross nonedge carries the value of
+    # its outside end; the planted end holds -0.0, which adds without changing
+    # a value or its sign.
+    nonedge = complement_edges(inst.graph)
+    cross = outside[:, None] != outside[None, :]
+    w_end = np.where(outside, -lam * n_vec / (k - n_vec), -0.0)
+    f_end = np.where(outside, -(lam / gamma) * k / (k - n_vec), -0.0)
+    W = np.where(
+        nonedge, np.where(cross, w_end[:, None] + w_end[None, :], -lam * p / (1.0 - p)), lam
+    )
+    F = np.where(
+        nonedge, np.where(cross, f_end[:, None] + f_end[None, :], -lam / (gamma * (1.0 - p))), 0.0
+    )
+    W[block] = (lam_tilde - gamma * nonedge[block]) - M[block]
+    F[block] = 0.0
 
     return Multipliers(
         W=W, F=F, M=M, lam=lam, lam_tilde=lam_tilde,

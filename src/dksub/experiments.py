@@ -44,6 +44,9 @@ class PhaseGridConfig:
         _require_int(self.trials, "trials")
         for k in self.k_values:
             _require_int(k, "every k")
+        _require_int(self.master_seed, "master_seed")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be at least 0, got {self.master_seed}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))

@@ -96,14 +96,20 @@ class GroundTruth:
     planted: tuple[int, ...]
     params: dict
 
+    def _sizes(self, count: int, kind: str) -> tuple[int, ...]:
+        if len(self.sizes) != count:
+            sizes = " ".join(map(str, self.sizes))
+            raise ValueError(f"ground truth sizes {sizes!r} do not fit a {kind} graph")
+        return self.sizes
+
     def subset(self, g: Graph) -> NodeSubset:
-        (k,) = self.sizes
+        (k,) = self._sizes(1, "unipartite")
         if len(self.planted) != k:
             raise ValueError("ground truth index count does not match k")
         return NodeSubset(self.planted, g.n)
 
     def subsets(self, g: BipartiteGraph) -> tuple[NodeSubset, NodeSubset]:
-        k1, k2 = self.sizes
+        k1, k2 = self._sizes(2, "bipartite")
         if len(self.planted) != k1 + k2:
             raise ValueError("ground truth index count does not match k1 + k2")
         return (
@@ -118,7 +124,7 @@ def truth_path(graph_path: str | Path) -> Path:
 
 def write_ground_truth(path: str | Path, sizes, planted, params) -> None:
     """Sidecar format: line 1 `k` (or `k1 k2`), line 2 the planted node
-    indices, line 3 the JSON-encoded generator parameters."""
+    indices, line 3 the generator parameters as a JSON object."""
     if dataclasses.is_dataclass(params):
         params = dataclasses.asdict(params)
     lines = [
@@ -138,4 +144,6 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     params = json.loads(raw[2])
     if len(sizes) not in (1, 2) or min(sizes) < 1:
         raise ValueError(f"{path}: first line must hold k or k1 k2, each at least 1")
+    if not isinstance(params, dict):
+        raise ValueError(f"{path}: third line must be a JSON object")
     return GroundTruth(sizes=sizes, planted=planted, params=params)

@@ -139,14 +139,6 @@ class BipartitePlantedInstance:
         return self.params.p, self.params.q
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeProfile:
-    """Per-node count of neighbors inside the planted set.  For planted nodes
-    the count excludes the node itself."""
-
-    n_vec: np.ndarray
-
-
 def sample_dks(params: PlantedDksParams, permute: bool = True) -> PlantedInstance:
     """Draw a graph from the planted dense k-subgraph model.
 
@@ -190,11 +182,11 @@ def sample_dkb(params: PlantedDkbParams, permute: bool = True) -> BipartitePlant
     return BipartitePlantedInstance(BipartiteGraph(n1, n2, biadj), planted_u, planted_v, params)
 
 
-def degree_profile(instance: PlantedInstance) -> DegreeProfile:
-    """Count, for every node, its neighbors inside the planted set."""
+def degree_profile(instance: PlantedInstance) -> np.ndarray:
+    """Count, for every node, its neighbors inside the planted set (for a
+    planted node, the node itself excluded), as an int64 vector."""
     members = list(instance.planted.members)
-    n_vec = instance.graph.adj[:, members].sum(axis=1).astype(np.int64)
-    return DegreeProfile(n_vec)
+    return instance.graph.adj[:, members].sum(axis=1).astype(np.int64)
 
 
 def _near_regular_edges(k: int, s: int) -> list[tuple[int, int]]:

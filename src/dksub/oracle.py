@@ -18,7 +18,7 @@ from itertools import chain, combinations, repeat
 
 import numpy as np
 
-from .graphs import BipartiteGraph, Graph, NodeSubset
+from .graphs import BipartiteGraph, Graph, NodeSubset, complement_edges
 
 GUARD_LIMIT = 10**7
 
@@ -129,7 +129,6 @@ def restricted_relaxation_value(
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     _check_guard(math.comb(g.n, k), f"C({g.n},{k})")
-    comp = ~g.adj & ~np.eye(g.n, dtype=bool)
-    min_nonedges, argmin = _best_k_subsets(comp, k, sign=-1)
+    min_nonedges, argmin = _best_k_subsets(complement_edges(g), k, sign=-1)
     value = k + gamma * (2 * min_nonedges)  # ||Y||_1 counts ordered pairs
     return value, [NodeSubset._trusted(tuple(s), g.n) for s in argmin]

@@ -134,13 +134,12 @@ def default_gamma_bipartite(k1: int, k2: int) -> float:
     return 6.0 / math.sqrt(k1 * k2)
 
 
-def soft_threshold(x: np.ndarray, phi: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Entrywise shrink toward zero by phi, as x - clip(x, -phi, phi).  out,
-    when given, receives the result and must not overlap x."""
+def soft_threshold(x: np.ndarray, phi: float) -> np.ndarray:
+    """Entrywise shrink toward zero by phi, as x - clip(x, -phi, phi)."""
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
-    clipped = np.clip(x, -phi, phi, out=out)
+    clipped = np.clip(x, -phi, phi)
     return np.subtract(x, clipped, out=clipped)
 
 

@@ -61,7 +61,7 @@ class TestYVector:
         k = 12
         mult = build_multipliers(inst)
         # independent check: solve (kI + ee^T) y = k*lam_tilde*e - gamma((k-1)e - n)
-        nvec = degree_profile(inst).n_vec[inst.planted.mask()].astype(float)
+        nvec = degree_profile(inst)[inst.planted.mask()].astype(float)
         rhs = k * mult.lam_tilde - mult.gamma * ((k - 1) - nvec)
         A = k * np.eye(k) + np.ones((k, k))
         y_direct = np.linalg.solve(A, rhs)
@@ -73,7 +73,7 @@ class TestYVector:
             inst = make_instance(60, 20, 0.2, 0.3, seed=seed)
             mult = build_multipliers(inst, epsilon_slack=0.1)
             k = 20
-            nvec = degree_profile(inst).n_vec[inst.planted.mask()].astype(float)
+            nvec = degree_profile(inst)[inst.planted.mask()].astype(float)
             rhs = k * mult.lam_tilde - mult.gamma * ((k - 1) - nvec)
             y_direct = np.linalg.solve(k * np.eye(k) + np.ones((k, k)), rhs)
             assert np.allclose(mult.y, y_direct, atol=1e-12)
@@ -91,6 +91,54 @@ class TestConstruction:
         cross = (np.outer(mask, outside) | np.outer(outside, mask)) & nonedge
         assert np.all(mult.W[oo | cross] == 0.0)
         assert np.allclose(mult.F[oo | cross], -mult.lam / mult.gamma)
+
+    def test_every_entry_class_matches_the_case_table(self):
+        # planted {1, 3, 4}: planted edges 1-3 and 3-4, planted nonedge 1-4;
+        # outside edges 0-2 and 5-6; cross edges 0-1, 0-3 and 2-4, so outside
+        # nodes 5 and 6 have no planted neighbour
+        edges = [(1, 3), (3, 4), (0, 2), (5, 6), (0, 1), (0, 3), (2, 4)]
+        n, planted = 7, (1, 3, 4)
+        k = len(planted)
+        inst = PlantedInstance(Graph.from_edges(n, edges), NodeSubset(planted, n))
+        gamma, eps, p, q = 0.5, 0.1, 0.2, 0.1
+        mult = build_multipliers(inst, gamma=gamma, epsilon_slack=eps, p=p, q=q)
+
+        lam = gamma * (eps + q) + 1 / k
+        lam_tilde = lam - 1 / k
+        assert (mult.lam, mult.lam_tilde) == (lam, lam_tilde)
+        edge_set = {frozenset(e) for e in edges}
+        planted_nbrs = [sum(frozenset((i, j)) in edge_set for j in planted) for i in range(n)]
+        assert planted_nbrs == [2, 1, 1, 2, 1, 0, 0]
+        # (kI + ee^T) y = k lam_tilde e - gamma ((k-1) e - n_P)
+        n_p = np.array([planted_nbrs[i] for i in planted], dtype=float)
+        rhs = k * lam_tilde - gamma * ((k - 1) - n_p)
+        y = dict(zip(planted, np.linalg.solve(k * np.eye(k) + 1.0, rhs)))
+
+        W = np.empty((n, n))
+        F = np.empty((n, n))
+        M = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                edge_or_diag = i == j or frozenset((i, j)) in edge_set
+                ends_planted = (i in planted) + (j in planted)
+                if ends_planted == 2:
+                    M[i, j] = y[i] + y[j]
+                    W[i, j] = lam_tilde - (0.0 if edge_or_diag else gamma) - M[i, j]
+                    F[i, j] = 0.0
+                elif edge_or_diag:
+                    W[i, j], F[i, j] = lam, 0.0
+                elif ends_planted == 0:
+                    W[i, j], F[i, j] = -lam * p / (1 - p), -lam / (gamma * (1 - p))
+                else:
+                    m = planted_nbrs[i if j in planted else j]
+                    W[i, j], F[i, j] = -lam * m / (k - m), -(lam / gamma) * k / (k - m)
+
+        for got, want in [(mult.W, W), (mult.F, F), (mult.M, M)]:
+            assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the cross nonedges of nodes 5 and 6 hold -0.0; F is +0.0 off its support
+        assert np.signbit(mult.W[1, 5]) and mult.W[1, 5] == 0.0
+        assert not np.signbit(mult.F[0, 1]) and mult.F[0, 1] == 0.0
 
     def test_support_invariants(self):
         for seed, (p, q) in enumerate([(0.1, 0.1), (0.3, 0.2), (0.0, 0.4)]):

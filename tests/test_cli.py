@@ -222,6 +222,33 @@ class TestCertify:
         truth_path(out).unlink()
         assert run(["certify", "--graph", out]) == 2
 
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize("params", ["[1]", '"x"'])
+    def test_sidecar_params_not_an_object_is_bad_input(self, tmp_path, capsys, command, params):
+        out = generate_dks(tmp_path)
+        lines = truth_path(out).read_text(encoding="utf-8").splitlines()
+        truth_path(out).write_text(f"{lines[0]}\n{lines[1]}\n{params}\n", encoding="utf-8")
+        capsys.readouterr()
+        k = ["--k", 8] if command == "solve" else []
+        assert run([command, "--graph", out, *k]) == 2
+        assert "third line must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_sidecar_sizes_of_the_other_kind_are_bad_input(self, tmp_path, capsys, command):
+        out = generate_dks(tmp_path)
+        truth_path(out).write_text("4 3\n0 1 2 3 4 5 6\n{}\n", encoding="utf-8")
+        capsys.readouterr()
+        k = ["--k", 8] if command == "solve" else []
+        assert run([command, "--graph", out, *k]) == 2
+        assert "sizes '4 3' do not fit a unipartite graph" in capsys.readouterr().err
+
+    def test_single_size_sidecar_beside_a_bipartite_graph_is_bad_input(self, tmp_path, capsys):
+        out = generate_dkb(tmp_path, n1=10, n2=9, k1=4, k2=3, p=0.1, q=0.3, seed=5)
+        truth_path(out).write_text("7\n0 1 2 3 4 5 6\n{}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["solve", "--graph", out, "--k1", 4, "--k2", 3]) == 2
+        assert "sizes '7' do not fit a bipartite graph" in capsys.readouterr().err
+
 
 class TestOracleCmd:
     def test_unipartite(self, tmp_path, capsys):
@@ -315,6 +342,11 @@ class TestPhase:
         assert run([*argv, "--jobs", jobs]) == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
 
+    def test_negative_seed_is_bad_input(self, capsys):
+        argv = ["phase", "--n", 10, "--k-list", 3, "--p-list", 0.0, "--trials", 1, "--jobs", 1]
+        assert run([*argv, "--seed", -1]) == 2
+        assert "master_seed must be at least 0" in capsys.readouterr().err
+
     def test_recovery_tol_out_of_range_is_bad_input(self, tmp_path, capsys):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"n": 10, "recovery_tol": -1}), encoding="utf-8")
@@ -328,6 +360,7 @@ class TestPhase:
             ({"n": 10.5}, "n"),
             ({"n": 10, "k_values": [4.7]}, "every k"),
             ({"n": 10, "solver": {"max_iter": 10.5}}, "max_iter"),
+            ({"n": 10, "master_seed": True}, "master_seed"),
         ],
     )
     def test_non_integer_config_value_is_bad_input(self, tmp_path, capsys, config, field):

@@ -42,12 +42,17 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field,bad",
-        [("n", 30.5), ("n", 30.0), ("trials", 2.5), ("k_values", (5, 4.7)), ("k_values", (True,))],
+        [("n", 30.5), ("n", 30.0), ("trials", 2.5), ("k_values", (5, 4.7)), ("k_values", (True,)),
+         ("master_seed", True), ("master_seed", 1.5)],
     )
     def test_rejects_non_integer_sizes(self, field, bad):
-        # a k of 4.7 used to be truncated to 4
+        # a k of 4.7 used to be truncated to 4, and a master_seed of True ran as 1
         with pytest.raises(ValueError, match="must be an integer"):
             tiny_config(**{field: bad})
+
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError, match="master_seed must be at least 0"):
+            tiny_config(master_seed=-1)
 
     def test_numpy_integer_sizes_become_ints(self):
         cfg = tiny_config(n=np.int64(30), k_values=np.array([5, 12]), trials=np.int32(2))

@@ -115,6 +115,26 @@ def test_ground_truth_size_below_one(tmp_path, first_line):
         read_ground_truth(path)
 
 
+@pytest.mark.parametrize("params", ["[1]", '"x"', "3", "null"])
+def test_ground_truth_params_not_an_object(tmp_path, params):
+    path = tmp_path / "g.txt.truth"
+    path.write_text(f"2\n0 1\n{params}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="third line must be a JSON object"):
+        read_ground_truth(path)
+
+
+def test_ground_truth_sizes_must_fit_the_graph_kind(tmp_path):
+    pair = tmp_path / "pair.truth"
+    write_ground_truth(pair, [4, 3], range(7), {})
+    with pytest.raises(ValueError, match="sizes '4 3' do not fit a unipartite graph"):
+        read_ground_truth(pair).subset(Graph.complete(10))
+    single = tmp_path / "single.truth"
+    write_ground_truth(single, [4], range(4), {})
+    g = BipartiteGraph(5, 5, np.zeros((5, 5), dtype=bool))
+    with pytest.raises(ValueError, match="sizes '4' do not fit a bipartite graph"):
+        read_ground_truth(single).subsets(g)
+
+
 def test_truth_path():
     assert str(truth_path("x/g.txt")).endswith("g.txt.truth")
 

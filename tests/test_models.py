@@ -135,7 +135,7 @@ class TestSampleDkb:
 class TestDegreeProfile:
     def test_clean_clique_profile(self):
         inst = sample_dks(PlantedDksParams(n=20, k=7, p=0.0, q=0.0, seed=3))
-        prof = degree_profile(inst).n_vec
+        prof = degree_profile(inst)
         mask = inst.planted.mask()
         assert np.all(prof[mask] == 6)
         assert np.all(prof[~mask] == 0)
@@ -143,7 +143,7 @@ class TestDegreeProfile:
     def test_handshake_parity(self):
         for seed in range(5):
             inst = sample_dks(PlantedDksParams(n=18, k=6, p=0.4, q=0.4, seed=seed))
-            prof = degree_profile(inst).n_vec
+            prof = degree_profile(inst)
             assert int(prof[inst.planted.mask()].sum()) % 2 == 0
 
 
@@ -160,7 +160,7 @@ class TestAdversarial:
         # k=10, delta1=0.2: nodes keep >= 8 of the planted set, self included.
         inst = self.clean(25, 10)
         out = corrupt_adversarial(inst, AdversarialParams(r=0, s=10, delta1=0.2, delta2=0.0), seed=2)
-        prof = degree_profile(out).n_vec
+        prof = degree_profile(out)
         mask = out.planted.mask()
         assert np.all(prof[mask] + 1 >= 8)
         deleted = inst.graph.edge_count - out.graph.edge_count
@@ -171,7 +171,7 @@ class TestAdversarial:
         out = corrupt_adversarial(
             inst, AdversarialParams(r=100, s=0, delta1=0.0, delta2=0.25), seed=3
         )
-        prof = degree_profile(out).n_vec
+        prof = degree_profile(out)
         outside = ~out.planted.mask()
         assert np.all(prof[outside] <= 5)
         assert out.graph.edge_count - inst.graph.edge_count == 100
@@ -203,7 +203,7 @@ class TestAdversarial:
             out = corrupt_adversarial(
                 inst, AdversarialParams(r=0, s=smax, delta1=delta1, delta2=0.0), seed=7
             )
-            prof = degree_profile(out).n_vec[out.planted.mask()]
+            prof = degree_profile(out)[out.planted.mask()]
             assert np.all(k - 1 - prof <= cap)
             assert inst.graph.edge_count - out.graph.edge_count == smax
 
