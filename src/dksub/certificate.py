@@ -92,8 +92,10 @@ def build_multipliers(
     p and q default to the instance's generative parameters (pass
     `estimate_pq(inst)` for graphs without them); gamma defaults to 6/k and
     the slack to (1 - p - q)/3.  Raises CertificateInfeasibleError when some
-    outside node is adjacent to the whole planted set, and ValueError for
-    p = 1, where the outside-nonedge multiplier is undefined.
+    outside node is adjacent to the whole planted set, and ValueError, naming
+    the parameter, unless p >= 0, q >= 0 and p + q < 1 (at p = 1 the
+    outside-nonedge multiplier is undefined) and gamma and the slack are
+    positive and finite.  NaN fails every rule.
     """
     k = inst.k
     n = inst.graph.n
@@ -101,12 +103,16 @@ def build_multipliers(
         mp, mq = inst.pq()
         p = mp if p is None else p
         q = mq if q is None else q
-    if p >= 1.0:
-        raise ValueError("construction requires p < 1")
+    for name, value in (("p", p), ("q", q)):
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
+    if not p + q < 1.0:
+        raise ValueError(f"construction requires p < 1 - q, got p={p}, q={q}")
     gamma = default_gamma(k) if gamma is None else gamma
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     epsilon = default_epsilon(p, q) if epsilon_slack is None else epsilon_slack
+    for name, value in (("gamma", gamma), ("epsilon_slack", epsilon)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
     members = np.array(inst.planted.members, dtype=np.int64)
     outside = ~inst.planted.mask()

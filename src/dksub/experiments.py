@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .models import PlantedDksParams, child_seed, sample_dks
-from .solver import SolverConfig, _one_blas_thread, _require_int, relative_error, solve_dks
+from .solver import (
+    SolverConfig, _one_blas_thread, _require_int, _require_real, relative_error, solve_dks,
+)
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,10 @@ class PhaseGridConfig:
         for k in self.k_values:
             _require_int(k, "every k")
         _require_int(self.master_seed, "master_seed")
+        _require_real(self.q, "q")
+        for p in self.p_values:
+            _require_real(p, "every p")
+        _require_real(self.recovery_tol, "recovery_tol")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be at least 0, got {self.master_seed}")
         object.__setattr__(self, "n", int(self.n))
@@ -75,7 +81,8 @@ class TrialRecord:
     converged: bool
     relative_error: float
     wall_time: float
-    hit_cap: bool = False  # stopped by max_iter rather than by tol or the finite guard
+    # stopped by max_iter rather than by tol or paper mode's finite guard
+    hit_cap: bool = False
     error: str | None = None
 
 
@@ -120,7 +127,7 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
         )
 
 
-def aggregate(cfg: PhaseGridConfig, records: list[TrialRecord]) -> list[PhaseCell]:
+def aggregate(records: list[TrialRecord]) -> list[PhaseCell]:
     """Collapse trial records into per-cell counts, sorted by (p, k).
 
     Aggregates depend only on the multiset of records per cell, not on
@@ -171,7 +178,7 @@ def run_phase_diagram(
             records = list(pool.map(run_trial, repeat(cfg), *zip(*tasks), chunksize=1))
     else:
         records = [run_trial(cfg, *t) for t in tasks]
-    return aggregate(cfg, records), records
+    return aggregate(records), records
 
 
 CSV_COLUMNS = ("n", "q", "p", "k", "trials", "recoveries", "mean_iterations", "mean_relative_error")

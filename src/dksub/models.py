@@ -242,7 +242,7 @@ def corrupt_adversarial(
     n = g.n
     planted = list(clique_instance.planted.members)
     k = len(planted)
-    outside = [v for v in range(n) if v not in set(planted)]
+    outside = sorted(set(range(n)).difference(planted))
 
     cap_del = math.floor(adv.delta1 * k)
     max_s = k * cap_del // 2

@@ -60,6 +60,13 @@ def _require_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_real(value, name: str) -> None:
+    """ValueError unless value is a real number (an int, a float or a numpy
+    scalar of either), and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """ADMM parameters.  gamma=None resolves to the size-based default
@@ -72,12 +79,12 @@ class SolverConfig:
     mode: str = "derived"
 
     def __post_init__(self):
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+        # gamma=None is resolved per problem
+        for name in ("tau", "tol") if self.gamma is None else ("gamma", "tau", "tol"):
+            value = getattr(self, name)
+            _require_real(value, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         _require_int(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -104,7 +111,7 @@ class SolverResult:
     # what each sweep evaluated (PLAIN, ACCEPTED or REJECTED), aligned with
     # residual_history
     sweep_kind: np.ndarray = field(repr=False)
-    # stopped by max_iter rather than by tol or the finite guard
+    # stopped by max_iter rather than by tol or paper mode's finite guard
     hit_cap: bool
 
     def anderson_counts(self) -> dict[str, int]:
@@ -252,9 +259,10 @@ def _svt_gram(
         if cut > _SQRT_EPS * float(np.trace(G)):  # trace(G) = ||M||_F^2
             w, V = _eigenpairs_outside(G, cut, lead, both_tails=False)
             return np.dot((M @ V) * (1.0 - phi / np.sqrt(w)), V.T), w.size
+    X, kept = _svt(M, phi)  # before lead is zeroed, so a failure leaves it as it was
     if lead is not None:
         lead[:] = 0.0
-    return _svt(M, phi)
+    return X, kept
 
 
 def _eigenpairs_outside(
@@ -626,9 +634,10 @@ class _DerivedSweep:
         clamp_box(p.V, out=p.cv)
         p.ws = self._shift(p.X)
 
-    def __call__(self, p: _Point) -> tuple[float, float, int] | None:
-        """One sweep of p in place: (rp, rd, kept SVT rank), or None, with p
-        unchanged, when the X-step input is not finite."""
+    def __call__(self, p: _Point) -> tuple[float, float, int]:
+        """One sweep of p in place: (rp, rd, kept SVT rank).  NumericalError
+        when the SVT fails, non-finite input included; it raises before p or
+        lead is written, so both are unchanged."""
         norm = np.linalg.norm
         Q, C, T = self.Q, self.C, self.T
         U, V, X_prev, cu, cv = p.U, p.V, p.X, p.cu, p.cv
@@ -645,8 +654,6 @@ class _DerivedSweep:
         C += cv
         C += p.ws - p.z[-1] / self.root_size
         C *= 1.0 / 3.0  # a divide pass costs about four multiply passes
-        if not np.isfinite(C).all():
-            return None
         X, rank = self.shrink(C, self.phi_x, self.lead)
         # the new U = Q - X - LQ and V = X + LZ, and their clip and clamp
         cu_next, cv_next = self.cu, self.cv
@@ -755,11 +762,11 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
     O'Donoghue & Boyd (2020).  The current point p holds F(z) for the last
     point z taken, whose residual is g = z - F(z).  Each candidate z~ is
     checked with one exact sweep, and accepted only if
-    ||F(z~) - z~|| <= ||g||.  Otherwise, or when z~ gives a non-finite
-    X-step input, the memory is cleared and the plain step from p is taken.
-    Every sweep, a rejected candidate's included, is recorded and counts
-    toward max_iter; the stop rule reads the sweeps at the current point
-    only.
+    ||F(z~) - z~|| <= ||g||.  Otherwise, or when the SVT of that sweep fails,
+    the memory is cleared and the plain step from p is taken.  Every sweep
+    that ran, a rejected candidate's included, is recorded and counts toward
+    max_iter; the stop rule reads the sweeps at the current point only.  A
+    failing plain step raises NumericalError.
     """
     p = sweep.start()
     memory = None
@@ -768,10 +775,13 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
             if memory.mix(p.z, b.z):
                 sweep.load(b)
                 np.copyto(g_next, b.z)
-                row = sweep(b)
-                # a candidate whose X-step input is not finite ran no SVT and
-                # gets no row, but is rejected like any other
-                if row is not None:
+                try:
+                    row = sweep(b)
+                except NumericalError:
+                    # the SVT failed before writing anything: no row, but
+                    # rejected like any other candidate
+                    pass
+                else:
                     g_next -= b.z
                     next_norm = math.sqrt(g_next @ g_next)
                     if next_norm <= g_norm:
@@ -793,10 +803,7 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
             g_norm = None
         if memory is not None:
             np.copyto(g_next, p.z)
-        row = sweep(p)
-        if row is None:
-            break
-        sweeps.add(*row)
+        sweeps.add(*sweep(p))
         if memory is not None:
             g_next -= p.z
             if g_norm is not None:
@@ -839,7 +846,7 @@ def _admm(
         primal_residual=float(sweeps.rp),
         dual_residual=float(sweeps.rd),
         objective=objective,
-        residual_history=np.array(sweeps.rows) if sweeps.rows else np.zeros((0, 2)),
+        residual_history=np.array(sweeps.rows),
         svt_rank=np.array(sweeps.ranks, dtype=int),
         blas_threads=blas_threads,
         sweep_kind=np.array(sweeps.kinds, dtype=np.int8),

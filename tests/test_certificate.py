@@ -54,6 +54,33 @@ class TestLambdaAndEpsilon:
         with pytest.raises(ValueError, match="p < 1"):
             build_multipliers(inst, epsilon_slack=0.1)
 
+    # each used to build a certificate, or to fail later with a message
+    # that named no parameter
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"p": -0.5, "q": 0.1}, "p must be at least 0"),
+            ({"p": math.nan, "q": 0.1}, "p must be at least 0"),
+            ({"q": -3.0}, "q must be at least 0"),
+            ({"q": math.nan}, "q must be at least 0"),
+            # an explicit slack used to skip the p + q < 1 rule
+            ({"p": 0.1, "q": 1.5, "epsilon_slack": 0.1}, "p < 1 - q"),
+            ({"p": 0.6, "q": 0.6, "epsilon_slack": 0.1}, "p < 1 - q"),
+            ({"p": math.inf, "q": 0.1}, "p < 1 - q"),
+            ({"gamma": 0.0}, "gamma must be positive and finite"),
+            ({"gamma": math.inf}, "gamma must be positive and finite"),
+            ({"gamma": math.nan}, "gamma must be positive and finite"),
+            ({"epsilon_slack": 0.0}, "epsilon_slack must be positive and finite"),
+            ({"epsilon_slack": -0.1}, "epsilon_slack must be positive and finite"),
+            ({"epsilon_slack": math.inf}, "epsilon_slack must be positive and finite"),
+            ({"epsilon_slack": math.nan}, "epsilon_slack must be positive and finite"),
+        ],
+    )
+    def test_parameters_outside_the_construction_are_rejected(self, kwargs, message):
+        inst = make_instance(20, 6, 0.1, 0.1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            build_multipliers(inst, **kwargs)
+
 
 class TestYVector:
     def test_clean_clique_constant_y_matches_direct_solve(self):

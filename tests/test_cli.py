@@ -158,6 +158,17 @@ class TestSolve:
         assert run(["solve", "--graph", graph_file, "--k", 3]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        out = generate_dks(tmp_path)
+        capsys.readouterr()
+
+        def dsyevd(M, lower=0):
+            return np.zeros(M.shape[0]), np.zeros(M.shape), 1
+
+        monkeypatch.setattr(solver.lapack, "dsyevd", dsyevd)
+        assert run(["solve", "--graph", out, "--k", 8]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: dsyevd failed")
+
     @pytest.mark.parametrize(
         "header,sizes", [("1000000 0", ["--k", 3]), ("1000000 1000000 0", ["--k1", 3, "--k2", 3])]
     )
@@ -221,6 +232,55 @@ class TestCertify:
         out = generate_dks(tmp_path)
         truth_path(out).unlink()
         assert run(["certify", "--graph", out]) == 2
+
+    def test_adversarial_sidecar_gives_its_base_pq(self, tmp_path, capsys):
+        adv = ["--adv-r", 2, "--adv-s", 2, "--adv-delta1", 0.25, "--adv-delta2", 0.25]
+        out = generate_dks(tmp_path, extra=adv)
+        assert '"base"' in truth_path(out).read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run(["certify", "--graph", out]) == 0
+        from_sidecar = capsys.readouterr().out
+        assert run(["certify", "--graph", out, "--p", 0, "--q", 0]) == 0
+        assert from_sidecar == capsys.readouterr().out
+
+    def test_sidecar_without_pq_is_bad_input(self, tmp_path, capsys):
+        out = generate_dks(tmp_path)
+        lines = truth_path(out).read_text(encoding="utf-8").splitlines()
+        truth_path(out).write_text(f"{lines[0]}\n{lines[1]}\n{{}}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["certify", "--graph", out]) == 2
+        assert "--estimate-pq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_p_or_q_alone_is_bad_input(self, tmp_path, capsys, flag):
+        out = generate_dks(tmp_path)
+        capsys.readouterr()
+        assert run(["certify", "--graph", out, flag, 0.1]) == 2
+        assert "pass --p and --q together" in capsys.readouterr().err
+
+    # each used to exit 0 with a report, or exit 2 naming no parameter
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--p", -0.5, "--q", 0.1], "p must be at least 0"),
+            (["--p", 0.1, "--q", -3], "q must be at least 0"),
+            (["--p", "nan", "--q", 0.1], "p must be at least 0"),
+            (["--p", 0.1, "--q", 1.5, "--epsilon", 0.1], "p < 1 - q"),
+            (["--p", 0.6, "--q", 0.6, "--epsilon", 0.1], "p < 1 - q"),
+            (["--epsilon", 0], "epsilon_slack must be positive and finite"),
+            (["--epsilon", "nan"], "epsilon_slack must be positive and finite"),
+            (["--gamma", "inf"], "gamma must be positive and finite"),
+            (["--gamma", "nan"], "gamma must be positive and finite"),
+        ],
+    )
+    def test_parameters_outside_the_construction_are_bad_input(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = generate_dks(tmp_path, p=0.1, q=0.1)
+        capsys.readouterr()
+        assert run(["certify", "--graph", out, *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", ["certify", "solve"])
     @pytest.mark.parametrize("params", ["[1]", '"x"'])
@@ -369,6 +429,28 @@ class TestPhase:
         path.write_text(json.dumps(grid), encoding="utf-8")
         assert run(["phase", "--config", path, "--jobs", 1]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,field",
+        [
+            # the first four used to exit 0, running as 1 or 0; the last two
+            # exited 2 with a message that named no key
+            ({"solver": {"tau": True}}, "tau"),
+            ({"q": True}, "q"),
+            ({"recovery_tol": True}, "recovery_tol"),
+            ({"p_values": [False]}, "every p"),
+            ({"solver": {"tol": "1e-4"}}, "tol"),
+            ({"q": None}, "q"),
+        ],
+    )
+    def test_config_value_that_is_not_a_real_number_is_bad_input(
+        self, tmp_path, capsys, config, field
+    ):
+        path = tmp_path / "grid.json"
+        grid = {"n": 10, "k_values": [4], "p_values": [0.0], "q": 0.0, "trials": 2, **config}
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        assert run(["phase", "--config", path, "--jobs", 1]) == 2
+        assert f"{field} must be a real number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags", [["--p-list", -0.5], ["--p-list", 0.0, 1.5], ["--q", 1.5], ["--q", -0.1]]

@@ -64,6 +64,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="recovery_tol"):
             tiny_config(recovery_tol=tol)
 
+    # each used to run as 1 or 0, or to fail with a message that named no
+    # field
+    @pytest.mark.parametrize(
+        "field,bad,name",
+        [("q", True, "q"), ("q", None, "q"), ("q", "0.1", "q"),
+         ("p_values", (False,), "every p"), ("p_values", (0.0, "0.1"), "every p"),
+         ("recovery_tol", True, "recovery_tol"), ("recovery_tol", None, "recovery_tol")],
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, field, bad, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            tiny_config(**{field: bad})
+
     def test_warns_when_p_plus_q_too_big(self):
         with pytest.warns(UserWarning, match="p \\+ q"):
             tiny_config(q=0.9, p_values=(0.3,))
@@ -93,7 +105,7 @@ class TestRunPhaseDiagram:
         _, records = run_phase_diagram(cfg)
         shuffled = records[:]
         random.Random(3).shuffle(shuffled)
-        assert aggregate(cfg, shuffled) == aggregate(cfg, records)
+        assert aggregate(shuffled) == aggregate(records)
 
     def test_failures_are_tagged_not_raised(self, monkeypatch):
         cfg = tiny_config()

@@ -106,6 +106,24 @@ class TestSolveDks:
         assert finite[:251].all() and not finite[251]
         assert not result.converged and not result.hit_cap
 
+    def test_non_finite_plain_step_raises(self, monkeypatch):
+        # an overflowed X in sweep 5 makes sweep 6's X-step input infinite;
+        # such a solve used to stop there quietly, as not converged
+        svt_symmetric, calls = solver._svt_symmetric, []
+
+        def overflowing_once(M, phi, lead=None):
+            calls.append(phi)
+            X, rank = svt_symmetric(M, phi, lead)
+            if len(calls) == 5:
+                X[0, 0] = np.inf
+            return X, rank
+
+        monkeypatch.setattr(solver, "_svt_symmetric", overflowing_once)
+        g, k = criterion_3_trial_0()
+        with pytest.raises(solver.NumericalError, match="non-finite entries in a 14x14 matrix"):
+            solve_dks(g, k)
+        assert len(calls) == 6
+
     def test_svt_rank_is_one_at_convergence(self):
         inst = sample_dks(PlantedDksParams(n=50, k=20, p=0.0, q=0.0, seed=4))
         result = solve_dks(inst.graph, 20)
@@ -175,6 +193,21 @@ class TestSolveDks:
         # 10.5 used to run 11 sweeps and report hit_cap=False
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverConfig(max_iter=bad)
+
+    # True used to run as 1, and "1e-4" failed comparing an int with a str
+    # (gamma=None is the size-based default)
+    @pytest.mark.parametrize(
+        "field,bad",
+        [(field, bad) for field in ("gamma", "tau", "tol")
+         for bad in (True, False, "1e-4", None, [0.5]) if (field, bad) != ("gamma", None)],
+    )
+    def test_parameters_must_be_real_numbers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            SolverConfig(**{field: bad})
+
+    def test_numpy_real_parameters(self):
+        cfg = SolverConfig(gamma=np.float32(0.5), tau=np.float64(0.35), tol=np.int64(1))
+        assert (cfg.gamma, cfg.tau, cfg.tol) == (0.5, 0.35, 1)
 
     def test_numpy_integer_max_iter(self):
         g, k = criterion_3_trial_0()
@@ -267,6 +300,37 @@ class TestAnderson:
         # the memory was cleared: the next candidate mixes one secant pair
         assert memory_sizes[:2] == [1, 1]
 
+    def test_failing_candidate_svt_gives_the_plain_step_and_no_row(self, monkeypatch):
+        g, k = criterion_3_trial_0()
+        start = solver._ANDERSON_START
+        calls, memory_sizes = [], []
+        svt_symmetric, mixing = solver._svt_symmetric, solver._mixing_coefficients
+
+        def failing_once(M, phi, lead=None):
+            calls.append(phi)
+            # the first candidate is the third sweep of the Anderson phase
+            if len(calls) == start + 3:
+                raise solver.NumericalError("dsyevd failed on a 14x14 matrix (info=1)")
+            return svt_symmetric(M, phi, lead)
+
+        def recording(gram, rhs):
+            memory_sizes.append(rhs.size)
+            return mixing(gram, rhs)
+
+        monkeypatch.setattr(solver, "_svt_symmetric", failing_once)
+        monkeypatch.setattr(solver, "_mixing_coefficients", recording)
+        mixed = solve_dks(g, k)
+        assert mixed.converged and not mixed.hit_cap
+        # every SVT call but the failed one left a row, and the next is plain
+        assert mixed.iterations == len(calls) - 1
+        assert (mixed.sweep_kind[: start + 3] == PLAIN).all()
+        monkeypatch.setattr(solver, "_svt_symmetric", svt_symmetric)
+        monkeypatch.setattr(solver, "_ANDERSON_START", start + 3)
+        plain = solve_dks(g, k, SolverConfig(max_iter=start + 3))
+        assert np.array_equal(mixed.residual_history[: start + 3], plain.residual_history)
+        # the memory was cleared: the next candidate mixes one secant pair
+        assert memory_sizes[:2] == [1, 1]
+
     def test_accelerated_solve_is_feasible_and_meets_the_stop_rule(self):
         g, k = criterion_3_trial_0()
         cfg = SolverConfig()
@@ -354,14 +418,17 @@ class TestDerivedSweep:
         assert np.abs(p.z[-1] / np.sqrt(sweep.size) - ref["LW"]).max() <= 1e-12
 
     def test_non_finite_input_leaves_the_point_unchanged(self):
-        sweep, _ = n60_square(10)
+        sweep, _ = n60_square(20)
         p = sweep.start()
+        for _ in range(30):
+            sweep(p)
+        assert sweep.lead.any()  # the last sweep kept one pair
         p.cv[3, 4] = np.inf
-        before = [p.z.copy(), p.cu.copy(), p.cv.copy()]
-        assert sweep(p) is None
-        for a, b in zip(before, (p.z, p.cu, p.cv)):
+        before = [p.z.copy(), p.cu.copy(), p.cv.copy(), p.ws, sweep.lead.copy()]
+        with pytest.raises(solver.NumericalError, match="non-finite"):
+            sweep(p)
+        for a, b in zip(before, (p.z, p.cu, p.cv, p.ws, sweep.lead)):
             assert np.array_equal(a, b)
-        assert p.ws == 0.0
 
     def test_point_rebuilt_from_its_z_sweeps_alike(self):
         g, k = criterion_3_trial_0()
@@ -371,7 +438,7 @@ class TestDerivedSweep:
         )
         p = sweep.start()
         for _ in range(120):
-            assert sweep(p) is not None
+            sweep(p)
         rebuilt = solver._Point(sweep.shape)
         rebuilt.z[:] = p.z
         sweep.load(rebuilt)
