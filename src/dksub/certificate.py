@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .graphs import complement_edges, proposed_solution
-from .models import PlantedInstance, degree_profile
+from .models import PlantedInstance, degree_profile, stream_rng
 from .solver import _one_blas_thread, default_gamma
 
 
@@ -248,7 +248,7 @@ def check_binomial_concentration(
     6 * max(sqrt(p(1-p) m log m), log m)."""
     if m < 1 or draws < 1:
         raise ValueError("m and draws must be at least 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = stream_rng(seed)
     s = rng.binomial(m, p, size=draws)
     logm = math.log(m)
     bound = 6.0 * max(math.sqrt(p * (1.0 - p) * m * logm), logm)
@@ -269,7 +269,7 @@ def check_matrix_bernstein(
         raise ValueError("n and trials must be at least 1")
     if sigma < 0 or bound < sigma:
         raise ValueError("need 0 <= sigma <= bound")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = stream_rng(seed)
     logn = math.log(n)
     limit = 6.0 * max(sigma * math.sqrt(n * logn), bound * logn**2)
     violations = 0

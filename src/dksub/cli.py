@@ -17,6 +17,7 @@ import numpy as np
 
 from . import experiments, io, models, oracle, solver
 from .certificate import build_multipliers, estimate_pq, verify
+from .graphs import Graph
 from .solver import NumericalError, SolverConfig
 
 
@@ -41,10 +42,7 @@ def _cmd_generate(args) -> int:
                 r=args.adv_r, s=args.adv_s, delta1=args.adv_delta1, delta2=args.adv_delta2
             )
             inst = models.corrupt_adversarial(inst, adv, seed=args.adv_seed)
-        io.write_graph(inst.graph, args.out)
-        io.write_ground_truth(
-            io.truth_path(args.out), [inst.k], inst.planted.members, inst.params
-        )
+        sizes, planted = [inst.k], inst.planted.members
     else:
         if None in (args.n1, args.n2, args.k1, args.k2):
             raise ValueError("--n1 --n2 --k1 --k2 are required for the dkb model")
@@ -53,13 +51,10 @@ def _cmd_generate(args) -> int:
             p=args.p, q=args.q, seed=args.seed,
         )
         inst = models.sample_dkb(params, permute=not args.no_permute)
-        io.write_bipartite(inst.graph, args.out)
-        io.write_ground_truth(
-            io.truth_path(args.out),
-            [params.k1, params.k2],
-            list(inst.planted_u.members) + list(inst.planted_v.members),
-            inst.params,
-        )
+        sizes = [params.k1, params.k2]
+        planted = inst.planted_u.members + inst.planted_v.members
+    io.write_graph(inst.graph, args.out)
+    io.write_ground_truth(io.truth_path(args.out), sizes, planted, inst.params)
     print(f"wrote {args.out} and {io.truth_path(args.out)}")
     return 0
 
@@ -79,13 +74,14 @@ def _find_truth(args) -> Path | None:
 
 def _read_problem(args):
     """The graph file and its size: (Graph, k), or (BipartiteGraph, (k1, k2))."""
-    if io.sniff_kind(args.graph) == "graph":
+    g = io.read_edge_list(args.graph)
+    if isinstance(g, Graph):
         if args.k is None:
             raise ValueError("--k is required for a unipartite graph")
-        return io.read_graph(args.graph), args.k
+        return g, args.k
     if args.k1 is None or args.k2 is None:
         raise ValueError("--k1 and --k2 are required for a bipartite graph")
-    return io.read_bipartite(args.graph), (args.k1, args.k2)
+    return g, (args.k1, args.k2)
 
 
 def _members(subsets) -> list | dict:
@@ -123,11 +119,13 @@ def _cmd_solve(args) -> int:
 
 
 def _pq_from_params(params: dict) -> tuple[float, float] | None:
-    if "p" in params and "q" in params:
-        return float(params["p"]), float(params["q"])
-    base = params.get("base")
-    if isinstance(base, dict) and "p" in base and "q" in base:
-        return float(base["p"]), float(base["q"])
+    """The sidecar's p and q, or those under its "base" (an adversarial
+    instance's), each checked to be a real number."""
+    for prefix, source in (("", params), ("base.", params.get("base"))):
+        if isinstance(source, dict) and "p" in source and "q" in source:
+            for key in ("p", "q"):
+                solver._require_real(source[key], f"sidecar {prefix}{key}")
+            return float(source["p"]), float(source["q"])
     return None
 
 

@@ -44,6 +44,10 @@ class PhaseGridConfig:
     def __post_init__(self):
         _require_int(self.n, "n")
         _require_int(self.trials, "trials")
+        for name in ("p_values", "k_values"):
+            axis = getattr(self, name)
+            if not isinstance(axis, (list, tuple, np.ndarray)):
+                raise ValueError(f"{name} must be a list, got {axis!r}")
         for k in self.k_values:
             _require_int(k, "every k")
         _require_int(self.master_seed, "master_seed")

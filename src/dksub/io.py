@@ -20,23 +20,35 @@ def _data_lines(path: Path) -> list[str]:
     return lines
 
 
-def write_graph(g: Graph, path: str | Path) -> None:
-    """Write `N M` followed by M lines `u v` with u < v, 0-based."""
-    out = [f"{g.n} {g.edge_count}"]
+# each graph type's header; the header's field count tells a file's type
+_HEADERS = {Graph: "N M", BipartiteGraph: "N1 N2 M"}
+_KINDS = {len(header.split()): kind for kind, header in _HEADERS.items()}
+
+
+def write_graph(g: Graph | BipartiteGraph, path: str | Path) -> None:
+    """Write `N M` (a Graph) or `N1 N2 M` (a BipartiteGraph), then M lines
+    `u v`, 0-based: u < v in a Graph, u in [0,N1) and v in [0,N2) in a
+    BipartiteGraph."""
+    sizes = (g.n1, g.n2) if isinstance(g, BipartiteGraph) else (g.n,)
+    out = [" ".join(str(s) for s in (*sizes, g.edge_count))]
     out.extend(f"{u} {v}" for u, v in g.edges())
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def _read_edge_list(path: str | Path, header: str, ordered: bool) -> tuple[list[int], list]:
-    """The header's sizes and the edge pairs of an edge-list file whose first
-    data line is `header` (its last field the edge count M), checked against M
-    and for duplicates; with ordered=True every edge must satisfy u < v."""
+def _read_edge_list(path: str | Path, kind: type | None = None) -> Graph | BipartiteGraph:
+    """The graph of the kind that the header's field count names, its edges
+    checked against the edge count M (the header's last field) and for
+    duplicates, and a Graph's for u < v. A file that is not of a required
+    `kind` is refused before any edge line is read."""
     lines = _data_lines(Path(path))
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     fields = lines[0].split()
-    if len(fields) != len(header.split()):
-        raise ValueError(f"{path}: expected header {header!r}, got {lines[0]!r}")
+    found = _KINDS.get(len(fields))
+    if kind is not None and found is not kind:
+        raise ValueError(f"{path}: expected header {_HEADERS[kind]!r}, got {lines[0]!r}")
+    if found is None:
+        raise ValueError(f"{path}: unrecognized header {lines[0]!r}")
     *sizes, m = (int(t) for t in fields)
     edges = []
     for line in lines[1:]:
@@ -44,44 +56,27 @@ def _read_edge_list(path: str | Path, header: str, ordered: bool) -> tuple[list[
         if len(parts) != 2:
             raise ValueError(f"{path}: bad edge line {line!r}")
         u, v = int(parts[0]), int(parts[1])
-        if ordered and not u < v:
+        if found is Graph and not u < v:
             raise ValueError(f"{path}: edge endpoints must satisfy u < v, got {line!r}")
         edges.append((u, v))
     if len(edges) != m:
         raise ValueError(f"{path}: header declares {m} edges, found {len(edges)}")
     if len(set(edges)) != len(edges):
         raise ValueError(f"{path}: duplicate edges")
-    return sizes, edges
+    return found.from_edges(*sizes, edges)
+
+
+def read_edge_list(path: str | Path) -> Graph | BipartiteGraph:
+    """A Graph from an `N M` file or a BipartiteGraph from an `N1 N2 M` file."""
+    return _read_edge_list(path)
 
 
 def read_graph(path: str | Path) -> Graph:
-    (n,), edges = _read_edge_list(path, "N M", ordered=True)
-    return Graph.from_edges(n, edges)
-
-
-def write_bipartite(g: BipartiteGraph, path: str | Path) -> None:
-    """Write `N1 N2 M` followed by M lines `u v` with u in [0,N1), v in [0,N2)."""
-    out = [f"{g.n1} {g.n2} {g.edge_count}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    return _read_edge_list(path, Graph)
 
 
 def read_bipartite(path: str | Path) -> BipartiteGraph:
-    (n1, n2), edges = _read_edge_list(path, "N1 N2 M", ordered=False)
-    return BipartiteGraph.from_edges(n1, n2, edges)
-
-
-def sniff_kind(path: str | Path) -> str:
-    """Return 'graph' or 'bipartite' from the header token count."""
-    lines = _data_lines(Path(path))
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    ntok = len(lines[0].split())
-    if ntok == 2:
-        return "graph"
-    if ntok == 3:
-        return "bipartite"
-    raise ValueError(f"{path}: unrecognized header {lines[0]!r}")
+    return _read_edge_list(path, BipartiteGraph)
 
 
 @dataclass(frozen=True)

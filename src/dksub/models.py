@@ -8,6 +8,7 @@ and seed and independent streams can be derived for parallel trials.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -269,16 +270,9 @@ def corrupt_adversarial(
         adj[perm_p[ui], perm_p[vi]] = adj[perm_p[vi], perm_p[ui]] = False
 
     # Additions: rounds of one new planted neighbor per outside node.
-    added = 0
-    for t in range(cap_add):
-        if added >= adv.r:
-            break
-        for a, node in enumerate(perm_o):
-            if added >= adv.r:
-                break
-            partner = perm_p[(a + t) % k]
-            adj[node, partner] = adj[partner, node] = True
-            added += 1
+    rounds = ((node, perm_p[(a + t) % k]) for t in range(cap_add) for a, node in enumerate(perm_o))
+    for node, partner in itertools.islice(rounds, adv.r):
+        adj[node, partner] = adj[partner, node] = True
 
     params = AdversarialInstanceParams(base=clique_instance.params, adv=adv, seed=seed)
     return PlantedInstance(Graph(n, adj), clique_instance.planted, params)

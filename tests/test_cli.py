@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dksub import graphs, solver
+from dksub import graphs, io, solver
 from dksub.cli import _phase_config, _solver_flags, build_parser, main
 from dksub.experiments import PhaseGridConfig
 from dksub.io import read_graph, truth_path
@@ -251,6 +251,23 @@ class TestCertify:
         assert run(["certify", "--graph", out]) == 2
         assert "--estimate-pq" in capsys.readouterr().err
 
+    # false and "0.1" used to exit 0 with a report at p=0 or q=0.1; "x" and
+    # null exited 2 with a message that named no key
+    @pytest.mark.parametrize("value", [False, "0.1", "x", None])
+    @pytest.mark.parametrize("key", ["p", "base.q"])
+    def test_sidecar_pq_that_is_not_a_real_number_is_bad_input(
+        self, tmp_path, capsys, value, key
+    ):
+        out = generate_dks(tmp_path, n=40, k=16)
+        lines = truth_path(out).read_text(encoding="utf-8").splitlines()
+        pq = {"p": 0.0, "q": 0.0, key.removeprefix("base."): value}
+        params = json.dumps({"base": pq} if key.startswith("base.") else pq)
+        truth_path(out).write_text(f"{lines[0]}\n{lines[1]}\n{params}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["certify", "--graph", out]) == 2
+        captured = capsys.readouterr()
+        assert f"sidecar {key} must be a real number" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     def test_p_or_q_alone_is_bad_input(self, tmp_path, capsys, flag):
         out = generate_dks(tmp_path)
@@ -342,6 +359,48 @@ class TestOracleCmd:
         capsys.readouterr()
         assert run([command, "--graph", out, *sizes]) == 2
         assert "--k1 and --k2 are required" in capsys.readouterr().err
+
+
+class TestGraphFile:
+    @pytest.mark.parametrize(
+        "command,sizes",
+        [("solve", ["--k", 6]), ("oracle", ["--k", 6]), ("certify", []),
+         ("solve", ["--k1", 4, "--k2", 3]), ("oracle", ["--k1", 4, "--k2", 3])],
+    )
+    def test_each_command_parses_the_graph_once(self, tmp_path, monkeypatch, command, sizes):
+        # solve and oracle used to read the file once for its kind, then again
+        if "--k" in sizes or command == "certify":
+            out = generate_dks(tmp_path, n=14, k=6)
+        else:
+            out = generate_dkb(tmp_path, n1=10, n2=9, k1=4, k2=3, p=0.1, q=0.3, seed=5)
+        parsed = []
+        data_lines = io._data_lines
+        monkeypatch.setattr(
+            io, "_data_lines", lambda path: parsed.append(path) or data_lines(path)
+        )
+        assert run([command, "--graph", out, *sizes]) == 0
+        assert parsed == [out]
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [("", "empty graph file"), ("# a comment\n\n", "empty graph file"),
+         ("5\n", "unrecognized header '5'"),
+         ("1 2 3 4\n0 1\n", "unrecognized header '1 2 3 4'")],
+    )
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_header_of_no_kind_is_bad_input(self, tmp_path, capsys, command, content, message):
+        graph_file = tmp_path / "bad.txt"
+        graph_file.write_text(content, encoding="utf-8")
+        assert run([command, "--graph", graph_file, "--k", 2]) == 2
+        assert capsys.readouterr().err == f"error: {graph_file}: {message}\n"
+
+    @pytest.mark.parametrize("header", ["2 2 0", "5", "1 2 3 4"])
+    def test_certify_needs_an_n_m_header(self, tmp_path, capsys, header):
+        out = generate_dks(tmp_path)
+        out.write_text(header + "\n0 1 2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["certify", "--graph", out]) == 2
+        assert capsys.readouterr().err == f"error: {out}: expected header 'N M', got {header!r}\n"
 
 
 class TestPhase:
@@ -451,6 +510,15 @@ class TestPhase:
         path.write_text(json.dumps(grid), encoding="utf-8")
         assert run(["phase", "--config", path, "--jobs", 1]) == 2
         assert f"{field} must be a real number" in capsys.readouterr().err
+
+    # each used to exit 2 with "'float' (or 'int') object is not iterable"
+    @pytest.mark.parametrize("field,value", [("p_values", 0.1), ("k_values", 3)])
+    def test_grid_axis_that_is_not_a_list_is_bad_input(self, tmp_path, capsys, field, value):
+        path = tmp_path / "grid.json"
+        grid = {"n": 10, "k_values": [3], "p_values": [0.1], field: value}
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        assert run(["phase", "--config", path, "--jobs", 1]) == 2
+        assert f"{field} must be a list, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags", [["--p-list", -0.5], ["--p-list", 0.0, 1.5], ["--q", 1.5], ["--q", -0.1]]

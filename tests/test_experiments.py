@@ -76,6 +76,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be a real number"):
             tiny_config(**{field: bad})
 
+    # each used to fail with "'float' (or 'int') object is not iterable"
+    @pytest.mark.parametrize("field,bad", [("p_values", 0.1), ("k_values", 3)])
+    def test_rejects_a_grid_axis_that_is_not_a_list(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be a list, got {bad}"):
+            tiny_config(**{field: bad})
+
     def test_warns_when_p_plus_q_too_big(self):
         with pytest.warns(UserWarning, match="p \\+ q"):
             tiny_config(q=0.9, p_values=(0.3,))

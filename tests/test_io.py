@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from dksub.graphs import BipartiteGraph, Graph
 from dksub.io import (
     read_bipartite,
+    read_edge_list,
     read_graph,
     read_ground_truth,
-    sniff_kind,
     truth_path,
-    write_bipartite,
     write_graph,
     write_ground_truth,
 )
@@ -32,21 +31,22 @@ def test_graph_round_trip(tmp_path):
     g = Graph(9, upper | upper.T)
     path = tmp_path / "g.txt"
     write_graph(g, path)
-    g2 = read_graph(path)
-    assert g2.n == g.n
-    assert np.array_equal(g2.adj, g.adj)
-    assert sniff_kind(path) == "graph"
+    for g2 in (read_graph(path), read_edge_list(path)):
+        assert type(g2) is Graph
+        assert g2.n == g.n
+        assert np.array_equal(g2.adj, g.adj)
 
 
 def test_bipartite_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     g = BipartiteGraph(4, 6, rng.random((4, 6)) < 0.5)
     path = tmp_path / "b.txt"
-    write_bipartite(g, path)
-    g2 = read_bipartite(path)
-    assert (g2.n1, g2.n2) == (4, 6)
-    assert np.array_equal(g2.biadj, g.biadj)
-    assert sniff_kind(path) == "bipartite"
+    write_graph(g, path)
+    assert path.read_text(encoding="utf-8").startswith(f"4 6 {g.edge_count}\n")
+    for g2 in (read_bipartite(path), read_edge_list(path)):
+        assert type(g2) is BipartiteGraph
+        assert (g2.n1, g2.n2) == (4, 6)
+        assert np.array_equal(g2.biadj, g.biadj)
 
 
 def test_comments_and_blank_lines(tmp_path):
@@ -70,8 +70,44 @@ def test_comments_and_blank_lines(tmp_path):
 def test_bad_graph_files(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_graph(path)
+    for read in (read_graph, read_edge_list):
+        with pytest.raises(ValueError):
+            read(path)
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("", "empty graph file"),
+        ("# only a comment\n\n", "empty graph file"),
+        ("5\n", "unrecognized header '5'"),
+        ("1 2 3 4\n0 1\n", "unrecognized header '1 2 3 4'"),
+    ],
+)
+def test_header_of_no_kind(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "read,content,header",
+    [
+        # the edge line is bad too: the kind is refused before it is read
+        (read_graph, "2 2 1\n0 1 2\n", "N M"),
+        (read_graph, "5\n", "N M"),
+        (read_graph, "1 2 3 4\n", "N M"),
+        (read_bipartite, "3 1\n0 1 2\n", "N1 N2 M"),
+        (read_bipartite, "1 2 3 4\n", "N1 N2 M"),
+    ],
+)
+def test_required_kind_is_checked_before_the_edges(tmp_path, read, content, header):
+    path = tmp_path / "other.txt"
+    path.write_text(content, encoding="utf-8")
+    first = content.splitlines()[0]
+    with pytest.raises(ValueError, match=f"expected header '{header}', got '{first}'"):
+        read(path)
 
 
 def test_ground_truth_round_trip(tmp_path):
@@ -169,13 +205,14 @@ def with_comments(text, seed):
 
 
 def round_trip(g, write, read, seed):
-    """read(write(g)), and the same after decorating the file with comments."""
+    """read(write(g)), the same after decorating the file with comments, and
+    read_edge_list of the decorated file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.txt"
         write(g, path)
         plain = read(path)
         path.write_text(with_comments(path.read_text(encoding="utf-8"), seed), encoding="utf-8")
-        return plain, read(path), sniff_kind(path)
+        return plain, read(path), read_edge_list(path)
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -187,9 +224,8 @@ class TestRoundTrips:
     @example(Graph(1, np.zeros((1, 1), dtype=bool)), 0)
     @example(Graph(5, np.zeros((5, 5), dtype=bool)), 1)
     def test_graph(self, g, seed):
-        *graphs, kind = round_trip(g, write_graph, read_graph, seed)
-        assert kind == "graph"
-        for g2 in graphs:
+        for g2 in round_trip(g, write_graph, read_graph, seed):
+            assert type(g2) is Graph
             assert g2.n == g.n
             assert np.array_equal(g2.adj, g.adj)
 
@@ -198,9 +234,8 @@ class TestRoundTrips:
     @example(BipartiteGraph(1, 1, np.zeros((1, 1), dtype=bool)), 0)
     @example(BipartiteGraph(3, 4, np.zeros((3, 4), dtype=bool)), 1)
     def test_bipartite(self, g, seed):
-        *graphs, kind = round_trip(g, write_bipartite, read_bipartite, seed)
-        assert kind == "bipartite"
-        for g2 in graphs:
+        for g2 in round_trip(g, write_graph, read_bipartite, seed):
+            assert type(g2) is BipartiteGraph
             assert (g2.n1, g2.n2) == (g.n1, g.n2)
             assert np.array_equal(g2.biadj, g.biadj)
 
@@ -235,3 +270,6 @@ def test_bad_bipartite_files(tmp_path):
         path.write_text(content, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             read_bipartite(path)
+        if not message.startswith("expected header"):
+            with pytest.raises(ValueError, match=message):
+                read_edge_list(path)

@@ -214,6 +214,21 @@ class TestAdversarial:
         b = corrupt_adversarial(inst, adv, seed=5)
         assert np.array_equal(a.graph.adj, b.graph.adj)
 
+    @pytest.mark.parametrize(
+        "r,added",
+        [
+            (5, [(1, 9), (2, 5), (3, 6), (4, 11), (5, 10)]),
+            # past the 8 outside nodes: the second round starts one planted
+            # partner further on
+            (11, [(0, 9), (1, 9), (1, 11), (2, 5), (3, 6), (3, 9), (4, 11), (5, 10),
+                  (6, 8), (6, 10), (7, 11)]),
+        ],
+    )
+    def test_additions_are_placed_round_robin(self, r, added):
+        inst = self.clean(12, 4, seed=3)
+        out = corrupt_adversarial(inst, AdversarialParams(r=r, s=0, delta1=0.0, delta2=0.5), seed=4)
+        assert sorted(set(out.graph.edges()) - set(inst.graph.edges())) == added
+
     def test_pq_reports_base_model(self):
         inst = self.clean(20, 8)
         out = corrupt_adversarial(inst, AdversarialParams(r=3, s=3, delta1=0.5, delta2=0.5), seed=1)
