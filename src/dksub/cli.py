@@ -29,7 +29,24 @@ def _json_out(payload: dict, out: str | None) -> None:
         print(text)
 
 
+# generate's flags that one model alone takes, with their defaults; the
+# parser leaves them None, so that a flag given to the other model shows
+_MODEL_FLAGS = {
+    "dks": {"n": None, "k": None, "adv_r": 0, "adv_s": 0,
+            "adv_delta1": 0.0, "adv_delta2": 0.0, "adv_seed": 0},
+    "dkb": {"n1": None, "n2": None, "k1": None, "k2": None},
+}
+
+
 def _cmd_generate(args) -> int:
+    other = "dkb" if args.model == "dks" else "dks"
+    foreign = ["--" + dest.replace("_", "-") for dest in _MODEL_FLAGS[other]
+               if getattr(args, dest) is not None]
+    if foreign:
+        raise ValueError(f"the {args.model} model does not take {', '.join(foreign)}")
+    for dest, default in _MODEL_FLAGS[args.model].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if args.model == "dks":
         if args.n is None or args.k is None:
             raise ValueError("--n and --k are required for the dks model")
@@ -267,11 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--q", type=float, default=0.0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--no-permute", action="store_true")
-    gen.add_argument("--adv-r", type=int, default=0, help="adversarial edge additions")
-    gen.add_argument("--adv-s", type=int, default=0, help="adversarial edge deletions")
-    gen.add_argument("--adv-delta1", type=float, default=0.0)
-    gen.add_argument("--adv-delta2", type=float, default=0.0)
-    gen.add_argument("--adv-seed", type=int, default=0)
+    # the model flags default to None; _MODEL_FLAGS holds their defaults
+    gen.add_argument("--adv-r", type=int, help="adversarial edge additions")
+    gen.add_argument("--adv-s", type=int, help="adversarial edge deletions")
+    gen.add_argument("--adv-delta1", type=float)
+    gen.add_argument("--adv-delta2", type=float)
+    gen.add_argument("--adv-seed", type=int)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 

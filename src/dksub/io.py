@@ -20,6 +20,14 @@ def _data_lines(path: Path) -> list[str]:
     return lines
 
 
+def _integers(path: str | Path, line: str) -> list[int]:
+    """The whitespace-separated integers of a line of the file at path."""
+    try:
+        return [int(t) for t in line.split()]
+    except ValueError:
+        raise ValueError(f"{path}: non-integer token in {line!r}") from None
+
+
 # each graph type's header; the header's field count tells a file's type
 _HEADERS = {Graph: "N M", BipartiteGraph: "N1 N2 M"}
 _KINDS = {len(header.split()): kind for kind, header in _HEADERS.items()}
@@ -49,13 +57,12 @@ def _read_edge_list(path: str | Path, kind: type | None = None) -> Graph | Bipar
         raise ValueError(f"{path}: expected header {_HEADERS[kind]!r}, got {lines[0]!r}")
     if found is None:
         raise ValueError(f"{path}: unrecognized header {lines[0]!r}")
-    *sizes, m = (int(t) for t in fields)
+    *sizes, m = _integers(path, lines[0])
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
+        if len(line.split()) != 2:
             raise ValueError(f"{path}: bad edge line {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _integers(path, line)
         if found is Graph and not u < v:
             raise ValueError(f"{path}: edge endpoints must satisfy u < v, got {line!r}")
         edges.append((u, v))
@@ -134,9 +141,11 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     if len(raw) < 3:
         raise ValueError(f"{path}: sidecar needs 3 lines")
-    sizes = tuple(int(t) for t in raw[0].split())
-    planted = tuple(int(t) for t in raw[1].split())
-    params = json.loads(raw[2])
+    sizes, planted = (tuple(_integers(path, line)) for line in raw[:2])
+    try:
+        params = json.loads(raw[2])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: third line is not JSON ({exc.msg}): {raw[2]!r}") from None
     if len(sizes) not in (1, 2) or min(sizes) < 1:
         raise ValueError(f"{path}: first line must hold k or k1 k2, each at least 1")
     if not isinstance(params, dict):

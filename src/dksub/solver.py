@@ -198,33 +198,36 @@ def _finite_top(M: np.ndarray) -> float:
 
 def _svt_symmetric(
     M: np.ndarray, phi: float, lead: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
-    """svt() specialized to symmetric input, and the number of eigenvalues it
-    kept: the eigenpairs outside [-phi, phi], each eigenvalue shrunk toward
-    zero by phi.  Only the lower triangle is read.  lead is the in/out warm
-    vector of _eigenpairs_outside, which finds the pairs."""
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """svt() specialized to symmetric input, the number of eigenvalues it
+    kept, and the next warm vector: the eigenpairs outside [-phi, phi], each
+    eigenvalue shrunk toward zero by phi.  Only the lower triangle is read.
+    lead is the warm vector of _eigenpairs_outside, which finds the pairs;
+    the next one is the kept eigenvector when exactly one pair is kept, and
+    None otherwise."""
     if phi < 0:
         raise ValueError("threshold must be nonnegative")
     w, Z = _eigenpairs_outside(np.asarray(M, dtype=float), phi, lead)
     # np.dot: bitwise equal to @, and for one column at n=250 several times faster
-    return np.dot(Z * (w - np.copysign(phi, w)), Z.T), w.size
+    return np.dot(Z * (w - np.copysign(phi, w)), Z.T), w.size, Z[:, 0] if w.size == 1 else None
 
 
 def _svt_gram(
     M: np.ndarray, phi: float, lead: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
-    """svt() through the Gram matrix, and the number of singular values it
-    kept.
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """svt() through the Gram matrix, the number of singular values it kept,
+    and the next warm vector, as _svt_symmetric returns them.
 
     With G = M'M over the smaller side of M, the singular values of M above
     phi are the square roots of the eigenvalues w of G above phi^2, and with
     their eigenvectors V, svt(M, phi) = ((M V) diag(1 - phi/sqrt(w))) V'.
     _eigenpairs_outside finds them, with lead as its warm vector (of the
-    smaller side's length); G is positive semidefinite, so its lower tail,
-    below -phi^2, is empty.  G could overflow or underflow when the largest
-    entry of M is nonzero and outside [sqrt(min), sqrt(max/m)], for syevd's
-    safe range [min, max]; such M takes the exact svt() instead, and gesdd
-    rescales it itself.
+    smaller side's length), and the next one is the kept right singular
+    vector when exactly one is kept; G is positive semidefinite, so its
+    lower tail, below -phi^2, is empty.  G could overflow or underflow when
+    the largest entry of M is nonzero and outside [sqrt(min), sqrt(max/m)],
+    for syevd's safe range [min, max]; such M takes the exact svt()
+    instead, and gesdd rescales it itself.
 
     Accuracy rule: rounding G perturbs it by about eps ||M||^2, which the
     shrink factor's slope near phi^2 turns into an error of about
@@ -235,8 +238,8 @@ def _svt_gram(
     (m + n) eps ||M||_F^2, below which G cannot even tell which singular
     values pass phi; a line at that error alone let the error reach
     1.1e-9 ||M||.  At or below the line, phi = 0 included, the SVT is the
-    exact svt() (gesdd on M), which zeroes lead.  The ADMM's phi = 1/(3 tau)
-    is far above it.
+    exact svt() (gesdd on M), which returns no warm vector.  The ADMM's
+    phi = 1/(3 tau) is far above it.
 
     On the rank-one route, _lone_pair proves that only one eigenvalue theta
     of G exceeds phi^2, with G's residual r at v.  Then, with u = Mv/||Mv||,
@@ -249,8 +252,8 @@ def _svt_gram(
         raise ValueError("threshold must be nonnegative")
     M = np.asarray(M, dtype=float)
     if M.shape[0] < M.shape[1]:
-        X, kept = _svt_gram(M.T, phi, lead)
-        return X.T, kept
+        X, kept, lead = _svt_gram(M.T, phi, lead)
+        return X.T, kept, lead
     top = _finite_top(M)
     # entries in [sqrt(min), sqrt(max/m)] put G's entries in syevd's safe range
     if top == 0.0 or math.sqrt(_SCALE_MIN) <= top <= math.sqrt(_SCALE_MAX / M.shape[0]):
@@ -258,11 +261,9 @@ def _svt_gram(
         cut = phi * phi
         if cut > _SQRT_EPS * float(np.trace(G)):  # trace(G) = ||M||_F^2
             w, V = _eigenpairs_outside(G, cut, lead, both_tails=False)
-            return np.dot((M @ V) * (1.0 - phi / np.sqrt(w)), V.T), w.size
-    X, kept = _svt(M, phi)  # before lead is zeroed, so a failure leaves it as it was
-    if lead is not None:
-        lead[:] = 0.0
-    return X, kept
+            X = np.dot((M @ V) * (1.0 - phi / np.sqrt(w)), V.T)
+            return X, w.size, V[:, 0] if w.size == 1 else None
+    return (*_svt(M, phi), None)
 
 
 def _eigenpairs_outside(
@@ -277,31 +278,22 @@ def _eigenpairs_outside(
     largest entry of M is nonzero and outside syevd's safe range
     [_SCALE_MIN, _SCALE_MAX]: there squares over- or underflow (divergent
     paper-mode iterates pass 1e150), and dsyevd rescales such input itself.
-    Otherwise a nonzero lead is first tried as the start of a rank-one step
-    (_lone_pair), and the reduction pipeline (_reduced_pairs) runs when that
-    step is not proved.
-
-    lead, when given, is an in/out buffer of length n for a sequence of
-    calls on slowly changing M.  From order _SMALL_ORDER on, it is left
-    holding the eigenvector when exactly one pair is returned, and zeros
-    otherwise; below that order it is neither read nor written.
+    Otherwise a given lead, a unit vector of length n (the eigenvector of
+    the previous call on a slowly changing M), is first tried as the start
+    of a rank-one step (_lone_pair), and the reduction pipeline
+    (_reduced_pairs) runs when that step is not proved.  lead is only read.
     """
     n = M.shape[0]
     top = _finite_top(M)
-    small = n < _SMALL_ORDER
     pairs = None
-    if small or not (top == 0.0 or _SCALE_MIN <= top <= _SCALE_MAX):
+    if n < _SMALL_ORDER or not (top == 0.0 or _SCALE_MIN <= top <= _SCALE_MAX):
         *pairs, info = lapack.dsyevd(M, lower=1)
         _lapack_ok(info, "dsyevd", n)
-    elif lead is not None and lead.any():
+    elif lead is not None:
         pairs = _lone_pair(M, phi, lead, both_tails)
     w, Z = pairs if pairs is not None else _reduced_pairs(M, phi)
-    # a boolean index copies, so Z never aliases lead
     outside = np.abs(w) > phi
-    w, Z = w[outside], Z[:, outside]
-    if lead is not None and not small:
-        lead[:] = Z[:, 0] if w.size == 1 else 0.0
-    return w, Z
+    return w[outside], Z[:, outside]
 
 
 def _lone_pair(A: np.ndarray, phi: float, v: np.ndarray, both_tails: bool):
@@ -616,8 +608,8 @@ class _DerivedSweep:
         self.phi_y = gamma / tau
         # Q, two temporaries and the next cu and cv, reused by every sweep
         self.Q, self.C, self.T, self.cu, self.cv = (np.empty(self.shape) for _ in range(5))
-        # the shrink's leading vector, carried from sweep to sweep
-        self.lead = np.zeros(min(self.shape))
+        # the shrink's warm vector, rebound to what each shrink returns
+        self.lead = None
 
     def start(self) -> _Point:
         """The start point: X = Z = sum_target / (n1 n2), Y = -X and every
@@ -636,8 +628,8 @@ class _DerivedSweep:
 
     def __call__(self, p: _Point) -> tuple[float, float, int]:
         """One sweep of p in place: (rp, rd, kept SVT rank).  NumericalError
-        when the SVT fails, non-finite input included; it raises before p or
-        lead is written, so both are unchanged."""
+        when the SVT fails, non-finite input included; it raises before p is
+        written, so p is unchanged."""
         norm = np.linalg.norm
         Q, C, T = self.Q, self.C, self.T
         U, V, X_prev, cu, cv = p.U, p.V, p.X, p.cu, p.cv
@@ -654,7 +646,7 @@ class _DerivedSweep:
         C += cv
         C += p.ws - p.z[-1] / self.root_size
         C *= 1.0 / 3.0  # a divide pass costs about four multiply passes
-        X, rank = self.shrink(C, self.phi_x, self.lead)
+        X, rank, self.lead = self.shrink(C, self.phi_x, self.lead)
         # the new U = Q - X - LQ and V = X + LZ, and their clip and clamp
         cu_next, cv_next = self.cu, self.cv
         np.subtract(Q, X, out=U)
@@ -873,7 +865,7 @@ def _paper_loop(nonedge, sum_target, gamma, tau, shrink, sweeps: _Sweeps):
         Xt = Q + 2.0 * X - Z - W - LW
         if not np.isfinite(Xt).all():
             break
-        Xn, rank = shrink(Xt, tau)
+        Xn, rank, _ = shrink(Xt, tau)
         Yn = soft_threshold(Y - tau * Q, tau * gamma)
         Wn = project_sum(Xn - LW, sum_target)
         Zn = clamp_box(Xn - LZ)

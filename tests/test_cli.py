@@ -69,6 +69,40 @@ class TestGenerate:
         assert truth[0] == "4 5"
         assert len(truth[1].split()) == 9
 
+    # each used to exit 0, the dkb graph uncorrupted
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--model", "dkb", "--n1", 12, "--n2", 10, "--k1", 4, "--k2", 3,
+              "--adv-r", 5, "--adv-s", 2], "the dkb model does not take --adv-r, --adv-s"),
+            (["--model", "dkb", "--n1", 12, "--n2", 10, "--k1", 4, "--k2", 3,
+              "--adv-seed", 0], "the dkb model does not take --adv-seed"),
+            (["--model", "dks", "--n", 20, "--k", 8, "--n1", 5],
+             "the dks model does not take --n1"),
+            (["--n", 20, "--k", 8, "--k1", 4, "--k2", 3],
+             "the dks model does not take --k1, --k2"),
+        ],
+    )
+    def test_flag_of_the_other_model_is_bad_input(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "g.txt"
+        assert run(["generate", *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_adversarial_flags_left_out_take_their_defaults(self, tmp_path):
+        # 0 additions or deletions, delta 0 and seed 0
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        given = generate_dks(tmp_path / "a", n=20, k=10, extra=["--adv-r", 3, "--adv-delta2", 0.5])
+        full = ["--adv-r", 3, "--adv-s", 0, "--adv-delta1", 0.0, "--adv-delta2", 0.5,
+                "--adv-seed", 0]
+        spelled = generate_dks(tmp_path / "b", n=20, k=10, extra=full)
+        for a, b in ((given, spelled), (truth_path(given), truth_path(spelled))):
+            assert a.read_bytes() == b.read_bytes()
+        assert '"adv": {"delta1": 0.0, "delta2": 0.5, "r": 3, "s": 0}' in truth_path(
+            given
+        ).read_text(encoding="utf-8")
+
 
 class TestSolve:
     def test_solve_with_sidecar_reports_error(self, tmp_path, capsys):
@@ -393,6 +427,38 @@ class TestGraphFile:
         graph_file.write_text(content, encoding="utf-8")
         assert run([command, "--graph", graph_file, "--k", 2]) == 2
         assert capsys.readouterr().err == f"error: {graph_file}: {message}\n"
+
+    # each used to exit 2 with int()'s message, which names neither the file
+    # nor the line
+    @pytest.mark.parametrize("content,line", [("8 x\n", "8 x"), ("3 1\n0 x\n", "0 x")])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "certify"])
+    def test_non_integer_token_is_bad_input(self, tmp_path, capsys, command, content, line):
+        graph_file = tmp_path / "bad.txt"
+        graph_file.write_text(content, encoding="utf-8")
+        k = [] if command == "certify" else ["--k", 2]
+        assert run([command, "--graph", graph_file, *k]) == 2
+        assert capsys.readouterr().err == f"error: {graph_file}: non-integer token in {line!r}\n"
+
+    # each used to exit 2 with int()'s or json's message
+    @pytest.mark.parametrize(
+        "index,bad,message",
+        [
+            (0, "8 y", "non-integer token in '8 y'"),
+            (1, "0 1 z", "non-integer token in '0 1 z'"),
+            (2, "{bad",
+             "third line is not JSON (Expecting property name enclosed in double quotes): '{bad'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_bad_sidecar_token_is_bad_input(self, tmp_path, capsys, command, index, bad, message):
+        out = generate_dks(tmp_path)
+        lines = truth_path(out).read_text(encoding="utf-8").splitlines()
+        lines[index] = bad
+        truth_path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        k = ["--k", 8] if command == "solve" else []
+        assert run([command, "--graph", out, *k]) == 2
+        assert capsys.readouterr().err == f"error: {truth_path(out)}: {message}\n"
 
     @pytest.mark.parametrize("header", ["2 2 0", "5", "1 2 3 4"])
     def test_certify_needs_an_n_m_header(self, tmp_path, capsys, header):

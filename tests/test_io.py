@@ -110,6 +110,23 @@ def test_required_kind_is_checked_before_the_edges(tmp_path, read, content, head
         read(path)
 
 
+# each used to raise int()'s message, which names neither the file nor the line
+@pytest.mark.parametrize(
+    "content,line",
+    [
+        ("8 x\n", "8 x"),                # header token
+        ("3 1\n0 x\n", "0 x"),          # edge token
+        ("2 3 1\n1 2.5\n", "1 2.5"),    # edge token of a bipartite file
+    ],
+)
+def test_non_integer_token_names_the_file_and_line(tmp_path, content, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_edge_list(path)
+    assert str(info.value) == f"{path}: non-integer token in {line!r}"
+
+
 def test_ground_truth_round_trip(tmp_path):
     params = PlantedDksParams(n=12, k=4, p=0.1, q=0.2, seed=9)
     inst = sample_dks(params)
@@ -157,6 +174,25 @@ def test_ground_truth_params_not_an_object(tmp_path, params):
     path.write_text(f"2\n0 1\n{params}\n", encoding="utf-8")
     with pytest.raises(ValueError, match="third line must be a JSON object"):
         read_ground_truth(path)
+
+
+# each used to raise int()'s or json's message, which names neither the
+# file nor the line
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("3 y\n0 1 2\n{}\n", "non-integer token in '3 y'"),
+        ("3\n0 1 z\n{}\n", "non-integer token in '0 1 z'"),
+        ("3\n0 1 2\n{bad\n",
+         "third line is not JSON (Expecting property name enclosed in double quotes): '{bad'"),
+    ],
+)
+def test_bad_ground_truth_token_names_the_file_and_line(tmp_path, content, message):
+    path = tmp_path / "g.txt.truth"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_ground_truth(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_ground_truth_sizes_must_fit_the_graph_kind(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -106,6 +107,49 @@ class TestSolveDks:
         assert finite[:251].all() and not finite[251]
         assert not result.converged and not result.hit_cap
 
+    # from order 32 on: the square iterates leave syevd's safe range (one
+    # dsyevd call each), and the Gram route hands the bipartite ones to gesdd
+    @pytest.mark.parametrize(
+        "bipartite,routes",
+        [(False, {"dsyevd": 11, "dsytrd": 239, "gesdd": 0}),
+         (True, {"dsyevd": 0, "dsytrd": 6, "gesdd": 244})],
+        ids=["n40", "40x36"],
+    )
+    def test_paper_mode_from_order_32_stops_at_its_first_non_finite_residual(
+        self, monkeypatch, bipartite, routes
+    ):
+        cfg = SolverConfig(mode="paper")
+        if bipartite:
+            g = sample_dkb(PlantedDkbParams(n1=40, n2=36, k1=12, k2=10, p=0.0, q=0.0, seed=2)).graph
+            run = functools.partial(solve_dkb, g, 12, 10, cfg)
+        else:
+            g = sample_dks(PlantedDksParams(n=40, k=12, p=0.0, q=0.0, seed=2)).graph
+            run = functools.partial(solve_dks, g, 12, cfg)
+        calls = []
+
+        def spy(module, name, route):
+            original = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(route)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        spy(scipy.linalg.lapack, "dsyevd", "dsyevd")
+        spy(scipy.linalg.lapack, "dsytrd", "dsytrd")
+        spy(solver, "_svt", "gesdd")
+        result = run()
+        assert {route: calls.count(route) for route in routes} == routes
+        finite = np.isfinite(result.residual_history).all(axis=1)
+        assert result.iterations == 250
+        assert finite[:249].all() and not finite[249]
+        assert not result.converged and not result.hit_cap
+        again = run()
+        assert np.array_equal(result.residual_history, again.residual_history, equal_nan=True)
+        assert np.array_equal(result.X, again.X, equal_nan=True)
+        assert np.array_equal(result.svt_rank, again.svt_rank)
+
     def test_non_finite_plain_step_raises(self, monkeypatch):
         # an overflowed X in sweep 5 makes sweep 6's X-step input infinite;
         # such a solve used to stop there quietly, as not converged
@@ -113,10 +157,10 @@ class TestSolveDks:
 
         def overflowing_once(M, phi, lead=None):
             calls.append(phi)
-            X, rank = svt_symmetric(M, phi, lead)
+            X, rank, lead = svt_symmetric(M, phi, lead)
             if len(calls) == 5:
                 X[0, 0] = np.inf
-            return X, rank
+            return X, rank, lead
 
         monkeypatch.setattr(solver, "_svt_symmetric", overflowing_once)
         g, k = criterion_3_trial_0()
@@ -139,7 +183,7 @@ class TestSolveDks:
         def svt_full_eigh(M, phi, lead=None):
             w, V = scipy.linalg.eigh(M, driver="evd", check_finite=False)
             s = np.sign(w) * np.maximum(np.abs(w) - phi, 0.0)
-            return (V * s) @ V.T, int(np.count_nonzero(s))
+            return (V * s) @ V.T, int(np.count_nonzero(s)), None
 
         inst = sample_dks(PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4))
         partial = solve_dks(inst.graph, 100)
@@ -364,7 +408,7 @@ def matrix_w_sweep(s, nonedge, sum_target, gamma, tau, shrink):
     Q = s["X"] + s["Y"] + s["LQ"]
     np.copyto(Q, 0.0, where=nonedge)
     C = ((Q - s["Y"] - s["LQ"]) + (s["W"] - s["LW"]) + (s["Z"] - s["LZ"])) / 3.0
-    X, rank = shrink(C, 1.0 / (3.0 * tau))
+    X, rank, _ = shrink(C, 1.0 / (3.0 * tau))
     U = Q - X - s["LQ"]
     Y = np.copysign(np.maximum(np.abs(U) - gamma / tau, 0.0), U)
     W = solver.project_sum(X + s["LW"], sum_target)
@@ -422,11 +466,13 @@ class TestDerivedSweep:
         p = sweep.start()
         for _ in range(30):
             sweep(p)
-        assert sweep.lead.any()  # the last sweep kept one pair
+        lead = sweep.lead
+        assert lead is not None  # the last sweep kept one pair
         p.cv[3, 4] = np.inf
-        before = [p.z.copy(), p.cu.copy(), p.cv.copy(), p.ws, sweep.lead.copy()]
+        before = [p.z.copy(), p.cu.copy(), p.cv.copy(), p.ws, lead.copy()]
         with pytest.raises(solver.NumericalError, match="non-finite"):
             sweep(p)
+        assert sweep.lead is lead
         for a, b in zip(before, (p.z, p.cu, p.cv, p.ws, sweep.lead)):
             assert np.array_equal(a, b)
 
@@ -466,7 +512,9 @@ class TestSolveDkb:
         cfg = SolverConfig(gamma=6 / 60)
         gram = solve_dkb(inst.graph, 60, 60, cfg)
         # the exact SVT takes no leading vector, so no rank-one step
-        monkeypatch.setattr(solver, "_svt_gram", lambda M, phi, lead=None: solver._svt(M, phi))
+        monkeypatch.setattr(
+            solver, "_svt_gram", lambda M, phi, lead=None: (*solver._svt(M, phi), None)
+        )
         exact = solve_dkb(inst.graph, 60, 60, cfg)
         assert gram.converged and exact.converged
         assert gram.iterations == exact.iterations

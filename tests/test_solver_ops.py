@@ -161,7 +161,7 @@ class TestSvtSymmetric:
         M = symmetric_with_spectrum(w, seed)
         # phi from 0 to past the spectral radius
         phi = frac * float(np.abs(w).max())
-        X, kept = _svt_symmetric(M, phi)
+        X, kept, _ = _svt_symmetric(M, phi)
         assert np.allclose(X, svt(M, phi), rtol=0.0, atol=1e-10)
         # the kept count, away from ties at the threshold
         assume(np.abs(np.abs(w) - phi).min() > 1e-8)
@@ -172,7 +172,7 @@ class TestSvtSymmetric:
         w = np.where(np.arange(n) < n // 2, 4.0, -4.0)
         w[::7] = 0.5
         M = symmetric_with_spectrum(w, n)
-        X, kept = _svt_symmetric(M, 1.0)
+        X, kept, _ = _svt_symmetric(M, 1.0)
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
         assert kept == int((np.abs(w) > 1.0).sum())
 
@@ -190,7 +190,7 @@ class TestSvtSymmetric:
         # just past the spectral radius (inside the Gershgorin bound), and
         # far past any bound
         for phi in (radius * (1 + 1e-9), 1e9):
-            X, kept = _svt_symmetric(M, phi)
+            X, kept, _ = _svt_symmetric(M, phi)
             assert kept == 0
             assert np.array_equal(X, np.zeros((n, n)))
         assert np.array_equal(_svt_symmetric(np.zeros((n, n)), 0.0)[0], np.zeros((n, n)))
@@ -208,7 +208,7 @@ class TestSvtSymmetric:
     def test_extreme_scales(self, size):
         w = np.array([5.0, -3.0, 0.2, 0.1, -0.4, 2.5])
         M = symmetric_with_spectrum(w, 0)
-        X, kept = _svt_symmetric(M * size, 0.3 * size)
+        X, kept, _ = _svt_symmetric(M * size, 0.3 * size)
         assert kept == 4
         assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
 
@@ -220,7 +220,7 @@ class TestSvtSymmetric:
         w = np.concatenate([[5.0, -3.0, 2.5], np.linspace(-0.2, 0.2, n - 3)])
         M = symmetric_with_spectrum(w, n)
         calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dsytrd")}
-        X, kept = _svt_symmetric(M * size, 0.3 * size)
+        X, kept, _ = _svt_symmetric(M * size, 0.3 * size)
         assert kept == 3
         assert calls == {"dsyevd": ["dsyevd"], "dsytrd": []}
         assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
@@ -229,8 +229,8 @@ class TestSvtSymmetric:
         w = np.concatenate([[6.0, -5.0], np.linspace(-0.5, 0.5, 58)])
         M = symmetric_with_spectrum(w, 1)
         full, partial = spy(monkeypatch, "dstevd"), spy(monkeypatch, "dstein")
-        X, kept = _svt_symmetric(M, 1.0)
-        assert (kept, full, partial) == (2, [], ["dstein"])
+        X, kept, lead = _svt_symmetric(M, 1.0)
+        assert (kept, full, partial, lead) == (2, [], ["dstein"], None)
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [5, 14, 40, 60])
@@ -238,9 +238,9 @@ class TestSvtSymmetric:
         # one dsyevd call below order 32, dstevd on the reduction from 32 on
         M = symmetric_with_spectrum(np.linspace(1.0, 2.0, n) * (-1) ** np.arange(n), n)
         calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dstevd", "dstein")}
-        X, kept = _svt_symmetric(M, 0.5)
+        X, kept, lead = _svt_symmetric(M, 0.5)
         routine = "dsyevd" if n < 32 else "dstevd"
-        assert kept == n
+        assert (kept, lead) == (n, None)
         assert calls == {name: [name] if name == routine else [] for name in calls}
         assert np.allclose(X, svt(M, 0.5), rtol=0.0, atol=1e-10)
 
@@ -249,7 +249,7 @@ class TestSvtSymmetric:
         M = symmetric_with_spectrum(w, 4)
         names = ("dsyevd", "dsytrd", "dstebz", "dstein", "dstevd", "dormqr")
         calls = {name: spy(monkeypatch, name) for name in names}
-        X, kept = _svt_symmetric(M, 1.0)
+        X, kept, _ = _svt_symmetric(M, 1.0)
         assert kept == 2
         assert calls == {name: ["dsyevd"] if name == "dsyevd" else [] for name in names}
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
@@ -263,7 +263,7 @@ class TestSvtSymmetric:
         M = symmetric_with_spectrum(np.concatenate([[6.0], np.zeros(39)]), 2)
         monkeypatch.setattr(lapack, "dstein", lambda d, e, w, *a: (np.zeros((d.size, w.size)), 1))
         full = spy(monkeypatch, "dstevd")
-        X, kept = _svt_symmetric(M, 1.0)
+        X, kept, _ = _svt_symmetric(M, 1.0)
         assert (kept, full) == (1, ["dstevd"])
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10)
 
@@ -314,7 +314,7 @@ class TestSvtGram:
         top = max(1.0, float(s.max()))
         # phi from 0 to past the largest singular value
         phi = frac * top
-        X, kept = _svt_gram(M, phi)
+        X, kept, _ = _svt_gram(M, phi)
         assert X.shape == M.shape
         assert np.allclose(X, svt(M, phi), rtol=0.0, atol=1e-10 * top)
         # the kept count, away from ties at the threshold
@@ -329,7 +329,7 @@ class TestSvtGram:
         M[1::2] = M[::2][: shape[0] // 2]  # every odd row repeats the one above
         for A in (M, M.T, np.zeros(shape)):
             top = max(1.0, np.linalg.norm(A, 2))
-            X, kept = _svt_gram(A, phi)
+            X, kept, _ = _svt_gram(A, phi)
             assert np.allclose(X, svt(A, phi), rtol=0.0, atol=1e-10 * top)
             # gesdd counts the rounding-level singular values at phi = 0
             assert kept == solver._svt(A, phi)[1]
@@ -349,7 +349,7 @@ class TestSvtGram:
 
         monkeypatch.setattr(solver, "_svt", recorded)
         for phi, (X0, kept0) in zip(phis, expected):
-            X, kept = _svt_gram(M, phi)
+            X, kept, _ = _svt_gram(M, phi)
             assert np.allclose(X, X0, rtol=0.0, atol=1e-10 * 4.0)
             assert kept == kept0
         assert calls == [0.0, 0.99 * edge]
@@ -360,7 +360,7 @@ class TestSvtGram:
         M = matrix_with_singular_values(s, shape, 8)
         # just past the largest singular value, and far past any bound
         for phi in (2.0 * (1 + 1e-9), 1e9):
-            X, kept = _svt_gram(M, phi)
+            X, kept, _ = _svt_gram(M, phi)
             assert kept == 0
             assert np.array_equal(X, np.zeros(shape))
         assert capfd.readouterr() == ("", "")
@@ -378,7 +378,7 @@ class TestSvtGram:
     def test_extreme_scales(self, shape, size):
         s = np.array([5.0, 3.0, 0.2, 0.1, 0.4, 2.5])
         M = matrix_with_singular_values(s, shape, 9)
-        X, kept = _svt_gram(M * size, 0.3 * size)
+        X, kept, _ = _svt_gram(M * size, 0.3 * size)
         assert kept == 4
         assert np.allclose(X / size, svt(M, 0.3), rtol=0.0, atol=1e-10)
 
@@ -397,7 +397,7 @@ class TestSvtGram:
 
         monkeypatch.setattr(solver, "_svt", recorded)
         eig_calls = [spy(monkeypatch, name) for name in ("dsyevd", "dsytrd")]
-        X, kept = _svt_gram(M, 0.3 * size)
+        X, kept, _ = _svt_gram(M, 0.3 * size)
         assert kept == 4 and calls == [0.3 * size] and eig_calls == [[], []]
         assert np.allclose(X / size, svt(M / size, 0.3), rtol=0.0, atol=1e-10)
 
@@ -417,7 +417,7 @@ class TestSvtGram:
         s = np.where(np.arange(p) < kept, 6.0 - np.arange(p) / p, 0.5 * np.arange(p) / p)
         M = matrix_with_singular_values(s, shape, 10)
         calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dstein", "dstevd")}
-        X, got = _svt_gram(M, 1.0)
+        X, got, _ = _svt_gram(M, 1.0)
         assert got == kept
         assert calls == {name: [name] if name == routine else [] for name in calls}
         assert np.allclose(X, svt(M, 1.0), rtol=0.0, atol=1e-10 * 6.0)
@@ -449,7 +449,8 @@ def warm_lead(z, seed):
 
 
 class TestRankOneSvt:
-    """The rank-one route that a nonzero leading vector opens, against svt()."""
+    """The rank-one route that a given warm vector opens, against svt(), and
+    the warm vector that each call returns."""
 
     PHI = 0.95
 
@@ -463,18 +464,17 @@ class TestRankOneSvt:
         M = (Q * w) @ Q.T
         return (M + M.T) / 2, Q[:, 0]
 
-    def run(self, M, lead):
-        X, kept = _svt_symmetric(M, self.PHI, lead)
+    def run(self, M, lead=None):
+        X, kept, lead_next = _svt_symmetric(M, self.PHI, lead)
         assert np.allclose(X, svt(M, self.PHI), rtol=0.0, atol=1e-12 * np.abs(M).max())
-        return X, kept
+        return X, kept, lead_next
 
     @pytest.mark.parametrize("spike", [40.0, -40.0, 4.0])
     def test_lone_spike_is_accepted(self, lone_pair_outcomes, monkeypatch, spike):
         # a negative leading eigenvalue included
         M, z = self.spiked(spike)
-        lead = warm_lead(z, 1)
         calls = spy(monkeypatch, "dsytrd")
-        X, kept = self.run(M, lead)
+        X, kept, lead = self.run(M, warm_lead(z, 1))
         assert (kept, lone_pair_outcomes, calls) == (1, [True], [])
         assert abs(lead @ z) == pytest.approx(1.0, abs=1e-12)
 
@@ -482,17 +482,15 @@ class TestRankOneSvt:
     def test_a_second_pair_outside_falls_back(self, lone_pair_outcomes, second):
         # above phi the first Cholesky fails, below -phi the second
         M, z = self.spiked(40.0, [second])
-        lead = warm_lead(z, 2)
-        X, kept = self.run(M, lead)
+        X, kept, lead = self.run(M, warm_lead(z, 2))
         assert (kept, lone_pair_outcomes) == (2, [False])
-        assert not lead.any()
+        assert lead is None
 
     def test_stalled_power_steps_fall_back(self, lone_pair_outcomes, monkeypatch):
         # a near tie at the top: once the bulk's share of the residual has
         # died out, it falls by about 4.999/5 per step and fails the rate,
         # well before the step cap
         M, z = self.spiked(5.0, [4.999])
-        lead = warm_lead(z, 3)
         steps = []
         original = blas.dsymv
 
@@ -501,34 +499,32 @@ class TestRankOneSvt:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(blas, "dsymv", recorded)
-        X, kept = self.run(M, lead)
+        X, kept, lead = self.run(M, warm_lead(z, 3))
         assert (kept, lone_pair_outcomes) == (2, [False])
         assert 2 <= len(steps) <= 10 < solver._POWER_STEPS
+        assert lead is None
 
     def test_lone_pair_inside_the_interval_falls_back(self, lone_pair_outcomes):
         # the power steps converge, but theta is below phi: nothing is kept
         M, z = self.spiked(0.5 * self.PHI, n=60)
         M = M - 0.99 * (M - 0.5 * self.PHI * np.outer(z, z))  # bulk at +-0.01 phi
-        lead = warm_lead(z, 10)
-        X, kept = self.run(M, lead)
+        X, kept, lead = self.run(M, warm_lead(z, 10))
         assert (kept, lone_pair_outcomes) == (0, [False])
-        assert not lead.any()
+        assert lead is None
 
-    def test_pipeline_fills_the_lead_when_it_keeps_one_pair(self, lone_pair_outcomes):
+    def test_pipeline_returns_the_lead_when_it_keeps_one_pair(self, lone_pair_outcomes):
         M, z = self.spiked(40.0)
-        lead = np.zeros(M.shape[0])
-        X, kept = self.run(M, lead)
+        X, kept, lead = self.run(M)
         assert (kept, lone_pair_outcomes) == (1, [])
         assert abs(lead @ z) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_order_ignores_the_lead(self, lone_pair_outcomes, monkeypatch):
+        # one dsyevd call comes first; its lone eigenvector still comes back
         M, z = self.spiked(40.0, n=14)
-        lead = warm_lead(z, 4)
-        before = lead.copy()
         calls = spy(monkeypatch, "dsyevd")
-        X, kept = self.run(M, lead)
+        X, kept, lead = self.run(M, warm_lead(z, 4))
         assert (kept, lone_pair_outcomes, calls) == (1, [], ["dsyevd"])
-        assert np.array_equal(lead, before)
+        assert abs(lead @ z) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, lone_pair_outcomes, bad):
@@ -541,42 +537,45 @@ class TestRankOneSvt:
     @pytest.mark.parametrize("size", [1e-200, 1e200])
     def test_out_of_range_input_is_one_dsyevd_call(self, lone_pair_outcomes, monkeypatch, size):
         M, z = self.spiked(40.0)
-        lead = warm_lead(z, 6)
         calls = {name: spy(monkeypatch, name) for name in ("dsyevd", "dpotrf")}
-        X, kept = _svt_symmetric(M * size, self.PHI * size, lead)
+        X, kept, lead = _svt_symmetric(M * size, self.PHI * size, warm_lead(z, 6))
         assert (kept, lone_pair_outcomes, calls) == (1, [], {"dsyevd": ["dsyevd"], "dpotrf": []})
         assert np.allclose(X / size, svt(M, self.PHI), rtol=0.0, atol=1e-10)
+        assert abs(lead @ z) == pytest.approx(1.0, abs=1e-12)
+
+    def gram_case(self, shape, second=None):
+        """A matrix with singular value 40 and the rest below phi (but for
+        second), and the right singular vector at 40 of its tall form."""
+        p = min(shape)
+        s = np.concatenate([[40.0], np.linspace(0.999, 0.0, p - 1) * self.PHI])
+        if second is not None:
+            s[1] = second
+        M = matrix_with_singular_values(s, shape, 13)
+        return M, np.linalg.svd(M if shape[0] >= shape[1] else M.T)[2][0]
 
     @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
     @pytest.mark.parametrize("second", [None, 1.001 * PHI])
     def test_gram_variant(self, lone_pair_outcomes, monkeypatch, shape, second):
         # one Cholesky proves the lone singular value above phi, and a
         # second one above phi makes it fail
-        p = min(shape)
-        s = np.concatenate([[40.0], np.linspace(0.999, 0.0, p - 1) * self.PHI])
-        if second is not None:
-            s[1] = second
-        M = matrix_with_singular_values(s, shape, 13)
-        right = np.linalg.svd(M if shape[0] >= shape[1] else M.T)[2][0]
-        lead = warm_lead(right, 7)
+        M, right = self.gram_case(shape, second)
         calls = spy(monkeypatch, "dpotrf")
-        X, kept = _svt_gram(M, self.PHI, lead)
+        X, kept, lead = _svt_gram(M, self.PHI, warm_lead(right, 7))
         assert np.allclose(X, svt(M, self.PHI), rtol=0.0, atol=1e-12 * 40.0)
         if second is None:
             assert (kept, lone_pair_outcomes, calls) == (1, [True], ["dpotrf"])
             assert abs(lead @ right) == pytest.approx(1.0, abs=1e-12)
         else:
             assert (kept, lone_pair_outcomes, calls) == (2, [False], ["dpotrf"])
-            assert not lead.any()
+            assert lead is None
 
     @pytest.mark.parametrize("size", [1e-200, 1e200])
     def test_gram_out_of_range_input_takes_the_exact_svt(self, lone_pair_outcomes, size):
         s = np.concatenate([[40.0], np.linspace(0.5, 0.0, 39)])
         M = matrix_with_singular_values(s, (60, 40), 14)
-        lead = warm_lead(np.linalg.svd(M)[2][0], 8)
-        X, kept = _svt_gram(M * size, self.PHI * size, lead)
+        X, kept, lead = _svt_gram(M * size, self.PHI * size, warm_lead(np.linalg.svd(M)[2][0], 8))
         assert (kept, lone_pair_outcomes) == (1, [])
-        assert not lead.any()
+        assert lead is None  # gesdd returns no warm vector
         assert np.allclose(X / size, svt(M, self.PHI), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -586,33 +585,61 @@ class TestRankOneSvt:
         with pytest.raises(NumericalError):
             _svt_gram(M, self.PHI, warm_lead(np.eye(40)[0], 9))
 
+    @pytest.mark.parametrize(
+        "case",
+        ["lone", "second", "small", "gram_tall", "gram_wide", "gram_second", "gram_gesdd"],
+    )
+    def test_the_lead_is_only_read(self, case):
+        # the input warm vector is left as it was; the returned one is the
+        # kept vector when exactly one pair is kept, and None otherwise or
+        # on the gesdd exit
+        if case.startswith("gram"):
+            shape = (40, 60) if case == "gram_wide" else (60, 40)
+            M, z = self.gram_case(shape, 1.001 * self.PHI if case == "gram_second" else None)
+            phi = self.PHI
+            if case == "gram_gesdd":
+                M, phi = M * 1e200, phi * 1e200
+            kernel = _svt_gram
+        else:
+            M, z = self.spiked(40.0, [1.001 * self.PHI] if case == "second" else [],
+                               n=14 if case == "small" else 60)
+            phi, kernel = self.PHI, _svt_symmetric
+        lead = warm_lead(z, 11)
+        before = lead.copy()
+        M_before = M.copy()
+        X, kept, lead_next = kernel(M, phi, lead)
+        assert np.array_equal(lead, before) and np.array_equal(M, M_before)
+        assert kept == (2 if case.endswith("second") else 1)
+        if case.endswith("second") or case == "gram_gesdd":
+            assert lead_next is None
+        else:
+            assert abs(lead_next @ z) == pytest.approx(1.0, abs=1e-12)
+
 
 def route_case(name):
     """(M, phi, lead, both_tails) that take the named route of
     _eigenpairs_outside, and the LAPACK routines that route calls."""
     n = 14 if name == "small" else 40 if name in ("out_of_range", "full") else 60
     spread = np.linspace(-0.5, 0.5, n)
-    lead = np.zeros(n)
     both_tails = True
     if name == "small":
-        # a nonzero lead, which below order 32 is neither read nor written
+        # a lead, which below order 32 is not read
         M = symmetric_with_spectrum(np.concatenate([[6.0, -5.0], spread[2:]]), 1)
-        lead[0] = 1.0
-        return M, 1.0, lead, both_tails, {"dsyevd"}
+        return M, 1.0, np.eye(n)[0], both_tails, {"dsyevd"}
     if name == "out_of_range":
+        # a lead, which outside syevd's safe range is not read
         M = symmetric_with_spectrum(np.concatenate([[5.0], spread[1:]]), 2)
-        return M * 1e200, 1e200, lead, both_tails, {"dsyevd"}
+        return M * 1e200, 1e200, np.eye(n)[0], both_tails, {"dsyevd"}
     if name == "partial":
         M = symmetric_with_spectrum(np.concatenate([[6.0, -5.0], spread[2:]]), 3)
-        return M, 1.0, lead, both_tails, {"dsytrd", "dstebz", "dstein"}
+        return M, 1.0, None, both_tails, {"dsytrd", "dstebz", "dstein"}
     if name == "full":
         # 14 of 40 pairs kept, more than n/5
         w = np.where(np.arange(n) < 14, 6.0, 0.5) * (-1) ** np.arange(n)
-        return symmetric_with_spectrum(w, 4), 1.0, lead, both_tails, {"dsytrd", "dstebz", "dstevd"}
+        return symmetric_with_spectrum(w, 4), 1.0, None, both_tails, {"dsytrd", "dstebz", "dstevd"}
     if name == "gershgorin_empty":
         M = symmetric_with_spectrum(spread, 5)
-        lead[0] = 1.0
-        return M, 1e9, lead, both_tails, {"dsytrd"}
+        return M, 1e9, np.eye(n)[0], both_tails, {"dsytrd"}
     # the rank-one route, proved, failed, and on a Gram matrix (one tail)
     extra = [1.001 * 0.95] if name == "rank_one_fallback" else []
     w = np.concatenate([[40.0], extra, np.linspace(-0.999, 0.999, n - 1 - len(extra)) * 0.95])
@@ -625,8 +652,8 @@ def route_case(name):
 
 
 class TestEigenpairsOutside:
-    """Every route returns exactly the pairs outside [-phi, phi] and leaves
-    the warm vector as documented."""
+    """Every route returns exactly the pairs outside [-phi, phi] and only
+    reads the warm vector."""
 
     ROUTES = (
         "small", "out_of_range", "partial", "full", "gershgorin_empty",
@@ -647,17 +674,16 @@ class TestEigenpairsOutside:
         assert np.allclose(Z.T @ Z, np.eye(w.size), rtol=0.0, atol=1e-10)
         assert np.allclose((M / scale) @ Z, Z * (w / scale), rtol=0.0, atol=1e-10)
 
-    @pytest.mark.parametrize("route", ROUTES)
-    def test_lead_ends_as_documented(self, route):
-        M, phi, lead, both_tails, _ = route_case(route)
+    # the routes given a lead; partial and full take none
+    @pytest.mark.parametrize("route", [r for r in ROUTES if r not in ("partial", "full")])
+    def test_lead_ends_as_documented(self, route, lone_pair_outcomes):
+        M, phi, lead, both_tails, routines = route_case(route)
         before = lead.copy()
-        w, Z = solver._eigenpairs_outside(M, phi, lead, both_tails)
-        if M.shape[0] < solver._SMALL_ORDER:
-            assert np.array_equal(lead, before)
-        elif w.size == 1:
-            assert np.array_equal(lead, Z[:, 0]) and not np.shares_memory(lead, Z)
-        else:
-            assert not lead.any()
+        solver._eigenpairs_outside(M, phi, lead, both_tails)
+        assert np.array_equal(lead, before)
+        # read (a rank-one step tried) exactly on the routes from order 32
+        # on, in syevd's safe range
+        assert bool(lone_pair_outcomes) == (route not in ("small", "out_of_range"))
 
 
 class TestProjectSum:
