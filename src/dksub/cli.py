@@ -7,8 +7,10 @@ Exit codes: 0 success, 2 bad input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,8 +23,21 @@ from .graphs import Graph
 from .solver import NumericalError, SolverConfig
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None, which JSON
+    writes as null: NaN and Infinity are not JSON, and strict parsers
+    reject them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _json_out(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -124,7 +139,9 @@ def _cmd_solve(args) -> int:
     if truth_file:
         truth = io.read_ground_truth(truth_file)
         planted = truth.subsets(g) if pair else truth.subset(g)
-        payload["X_relative_error_vs_ground_truth"] = solver.relative_error(result.X, planted)
+        # a diverged paper-mode X overflows here, as in the solve
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload["X_relative_error_vs_ground_truth"] = solver.relative_error(result.X, planted)
     payload.update(
         _solve_report(result),
         objective=result.objective,
@@ -214,7 +231,7 @@ def _phase_config(args) -> experiments.PhaseGridConfig:
 def _cmd_phase(args) -> int:
     cfg = _phase_config(args)
     start = time.perf_counter()
-    cells, _records = experiments.run_phase_diagram(cfg, jobs=args.jobs)
+    cells, records = experiments.run_phase_diagram(cfg, jobs=args.jobs)
     elapsed = time.perf_counter() - start
     if args.out_csv:
         experiments.emit_csv(cells, cfg.n, cfg.q, args.out_csv)
@@ -225,6 +242,8 @@ def _cmd_phase(args) -> int:
         "q": cfg.q,
         "wall_time_s": elapsed,
         "cells": [dataclasses.asdict(c) for c in cells],
+        # trials per TrialRecord.stop value
+        "stops": dict(collections.Counter(r.stop for r in records)),
     }
     _json_out(summary, args.out)
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .models import PlantedDksParams, child_seed, sample_dks
 from .solver import (
-    SolverConfig, _one_blas_thread, _require_int, _require_real, relative_error, solve_dks,
+    SolverConfig, _one_blas_thread, _require_int, _require_real, _solve_dks, relative_error,
 )
 
 
@@ -76,6 +76,17 @@ class PhaseGridConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial.  A derived solve stops by "tol" or at the "cap", or as soon
+    as the solver's own dual proves every optimum of the relaxation within
+    recovery_tol of the planted matrix ("proof_recovered") or none of them
+    ("proof_not_recovered"); see README, "Stopping a trial by proof".  A
+    paper-mode solve stopped by its finite guard reads "diverged", a failed
+    trial "error".
+
+    recovered is the proof's verdict when a proof fired, and otherwise
+    whether the returned X lies within recovery_tol; relative_error is
+    always the returned X's, and iterations counts the sweeps run."""
+
     p: float
     k: int
     trial: int
@@ -88,6 +99,10 @@ class TrialRecord:
     # stopped by max_iter rather than by tol or paper mode's finite guard
     hit_cap: bool = False
     error: str | None = None
+    stop: str = "error"
+    # the proven bound on the optima's relative distance to the planted
+    # matrix when the recovery proof fired, NaN otherwise
+    proven_distance: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -108,18 +123,27 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
     start = time.perf_counter()
     try:
         inst = sample_dks(PlantedDksParams(n=cfg.n, k=k, p=p, q=cfg.q, seed=seed))
-        result = solve_dks(inst.graph, k, cfg.solver)
-        err = relative_error(result.X, inst.planted)
+        result, proof = _solve_dks(inst.graph, k, cfg.solver, inst.planted, cfg.recovery_tol)
+        # a diverged paper-mode X overflows here, as in the solve
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = relative_error(result.X, inst.planted)
         if not np.isfinite(err):
             err = float("nan")
+        if proof.stop is not None:
+            stop, recovered = proof.stop, proof.stop == "proof_recovered"
+        else:
+            stop = "tol" if result.converged else "cap" if result.hit_cap else "diverged"
+            recovered = bool(err < cfg.recovery_tol)
         return TrialRecord(
             p=p, k=k, trial=trial, seed=seed,
-            recovered=bool(err < cfg.recovery_tol),
+            recovered=recovered,
             iterations=result.iterations,
             converged=result.converged,
             relative_error=float(err),
             wall_time=time.perf_counter() - start,
             hit_cap=result.hit_cap,
+            stop=stop,
+            proven_distance=proof.distance,
         )
     except Exception as exc:  # record the failure, never abort the grid
         return TrialRecord(

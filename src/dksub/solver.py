@@ -100,7 +100,6 @@ class SolverResult:
     converged: bool
     primal_residual: float
     dual_residual: float
-    objective: float
     residual_history: np.ndarray = field(repr=False)
     # eigen/singular values the SVT kept at each iteration, aligned with
     # residual_history
@@ -113,6 +112,19 @@ class SolverResult:
     sweep_kind: np.ndarray = field(repr=False)
     # stopped by max_iter rather than by tol or paper mode's finite guard
     hit_cap: bool
+    # the l1 weight and the shape, which the objective reads
+    _gamma: float = field(repr=False)
+    _symmetric: bool = field(repr=False)
+
+    @functools.cached_property
+    def objective(self) -> float:
+        """||X||_* + gamma ||Y||_1, NaN when X is not finite.  Computed on
+        first read, on one BLAS thread: the nuclear norm costs an eigensolve
+        or an SVD that most callers never need."""
+        if not np.isfinite(self.X).all():
+            return math.nan
+        with _one_blas_thread():
+            return _nuclear_norm(self.X, self._symmetric) + self._gamma * float(np.abs(self.Y).sum())
 
     def anderson_counts(self) -> dict[str, int]:
         """Anderson candidates accepted and rejected during the solve."""
@@ -456,10 +468,16 @@ def clamp_box(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.clip(np.asarray(M, dtype=float), 0.0, 1.0, out=out)
 
 
-def _nuclear_norm(X: np.ndarray, symmetric: bool) -> float:
+def _singular_values(X: np.ndarray, symmetric: bool) -> np.ndarray:
+    """The singular values of X, unordered; symmetric X has only its lower
+    triangle read, and X must be finite."""
     if symmetric:
-        return float(np.abs(scipy.linalg.eigvalsh(X, check_finite=False)).sum())
-    return float(np.linalg.svd(X, compute_uv=False).sum())
+        return np.abs(scipy.linalg.eigvalsh(X, check_finite=False))
+    return np.linalg.svd(X, compute_uv=False)
+
+
+def _nuclear_norm(X: np.ndarray, symmetric: bool) -> float:
+    return float(_singular_values(X, symmetric).sum())
 
 
 def _openblas_controls(libdir: Path, suffix: str):
@@ -543,6 +561,8 @@ class _Sweeps:
         self.kinds: list[int] = []
         self.rp = self.rd = math.inf
         self.converged = False
+        # set when a checkpoint of the derived loop decided the solve
+        self.proved = False
 
     def add(self, rp: float, rd: float, rank: int, kind: int = PLAIN) -> None:
         self.rows.append((rp, rd))
@@ -554,7 +574,7 @@ class _Sweeps:
 
     @property
     def done(self) -> bool:
-        return self.converged or len(self.rows) >= self.max_iter
+        return self.converged or self.proved or len(self.rows) >= self.max_iter
 
 
 class _Point:
@@ -746,7 +766,7 @@ class _AndersonMemory:
         return True
 
 
-def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
+def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps, checkpoint=None) -> _Point:
     """Run the derived sweep from its start point; returns the current point.
 
     From sweep _ANDERSON_START on, the iteration z <- F(z) is accelerated by
@@ -759,7 +779,17 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
     that ran, a rejected candidate's included, is recorded and counts toward
     max_iter; the stop rule reads the sweeps at the current point only.  A
     failing plain step raises NumericalError.
+
+    checkpoint(sweep, p, count), when given, runs after every sweep that
+    moved the current point (plain or accepted) and did not end the solve,
+    while the sweep's buffers still belong to p; it only reads them, and
+    the solve stops when it returns True.
     """
+
+    def moved() -> None:
+        if checkpoint is not None and not sweeps.done:
+            sweeps.proved = checkpoint(sweep, p, len(sweeps.rows))
+
     p = sweep.start()
     memory = None
     while not sweeps.done:
@@ -781,6 +811,7 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
                         memory.push(g_next, g, b.z, p.z)
                         p, b = b, p
                         g, g_next, g_norm = g_next, g, next_norm
+                        moved()
                         continue
                     sweeps.add(*row, REJECTED)
             memory.clear()
@@ -801,7 +832,177 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps) -> _Point:
             if g_norm is not None:
                 memory.push(g_next, g)
             g, g_next, g_norm = g_next, g, math.sqrt(g_next @ g_next)
+        moved()
     return p
+
+
+# the recovery proof's checkpoints: the first sweep that moves the point at
+# or after sweep _PROOF_START, then every _PROOF_EVERY sweeps.  The
+# non-recovery proof, which costs an eigensolve and a sort, is tried from
+# sweep _REFUTE_START every _REFUTE_EVERY sweeps.
+_PROOF_START, _PROOF_EVERY = 30, 5
+_REFUTE_START, _REFUTE_EVERY = 200, 100
+
+
+class _PlantedProof:
+    """The checkpoint of a derived solve whose planted set S is known: it
+    proves from the sweep's own dual pair that every optimum of the
+    relaxation lies within recovery_tol of X* = 1_S 1_S' (stop
+    "proof_recovered", with the bound in distance), or that none does (stop
+    "proof_not_recovered").  See README, "Stopping a trial by proof".
+
+    f(X) = ||X||_* + gamma sum_nonedge |X|.  Any W with ||W||_2 <= 1 and
+    any L with |L| <= gamma on the nonedges and 0 elsewhere give
+    f(X) >= <W + L, X> for every X.  The sweep holds W = (C - X)/phi_x, from
+    its X-step's input C and output X, and L = -tau cu on the nonedges.
+    """
+
+    def __init__(self, nonedge, planted, gamma, sum_target, recovery_tol, symmetric):
+        rows, cols = (np.array(s.members, dtype=np.intp) for s in planted)
+        self.block = np.ix_(rows, cols)
+        self.outside = np.ones(nonedge.shape, dtype=bool)
+        self.outside[self.block] = False
+        self.nonedge = nonedge.astype(float)
+        self.gamma = gamma
+        self.symmetric = symmetric
+        self.m = sum_target
+        self.root_m = math.sqrt(sum_target)
+        self.tol = recovery_tol
+        # f(X*): ||X*||_* = sqrt(m), and X* is 1 on the block's nonedges
+        self.f_star = self.root_m + gamma * float(np.count_nonzero(nonedge[self.block]))
+        # f(X) >= f(X*) - L ||X - X*||_F for feasible X; the l1 part moves by
+        # <1_N - (N/size) 1, X - X*>, as X - X* sums to 0
+        count, size = float(np.count_nonzero(nonedge)), nonedge.size
+        lipschitz = math.sqrt(min(nonedge.shape)) + gamma * math.sqrt(count * (1.0 - count / size))
+        # the drop of f within relative distance recovery_tol of X*
+        self.drop = lipschitz * recovery_tol * self.root_m
+        self.due, self.refute_due = _PROOF_START, _REFUTE_START
+        self.stop: str | None = None
+        self.distance = math.nan
+
+    def __call__(self, sweep: _DerivedSweep, p: _Point, count: int) -> bool:
+        """True once a proof decides the solve at the due checkpoint."""
+        if count < self.due:
+            return False
+        while self.due <= count:
+            self.due += _PROOF_EVERY
+        M, W = self._dual(sweep, p)
+        block = M[self.block]
+        top, low = float(block.max()), float(np.min(M, where=self.outside, initial=math.inf))
+        lb, mass = float(block.sum()), float(np.abs(block).sum())
+        if self._distance(top, low, lb, mass, 1.0) < self.tol:
+            # the proof is about to fire: now bound ||W||_2
+            distance = self._distance(top, low, lb, mass, self._norm_bound(W))
+            if distance < self.tol:
+                self.stop, self.distance = "proof_recovered", distance
+                return True
+        if count >= self.refute_due:
+            while self.refute_due <= count:
+                self.refute_due += _REFUTE_EVERY
+            if self._refutes(p.X, M):
+                self.stop = "proof_not_recovered"
+                return True
+        return False
+
+    def _dual(self, sweep: _DerivedSweep, p: _Point) -> tuple[np.ndarray, np.ndarray]:
+        """M = W + L and W, in the sweep's Q and T, which are free until the
+        next sweep rewrites them.  In the square case W is (D + D')/(2 phi_x)
+        with D = C - X, exactly symmetric, so that its norm is an
+        eigenvalue's; L is -tau cu clipped to [-gamma, gamma] on the
+        nonedges and 0 elsewhere."""
+        M, W = sweep.Q, sweep.T
+        np.subtract(sweep.C, p.X, out=M)
+        if self.symmetric:
+            np.add(M, M.T, out=W)
+            W *= 0.5 / sweep.phi_x
+        else:
+            np.multiply(M, 1.0 / sweep.phi_x, out=W)
+        np.multiply(p.cu, -sweep.tau, out=M)
+        np.clip(M, -self.gamma, self.gamma, out=M)
+        M *= self.nonedge
+        M += W
+        return M, W
+
+    def _norm_bound(self, W: np.ndarray) -> float:
+        """max(1, an upper bound of ||W||_2), by one eigensolve (an SVD off
+        the square case): the computed value is within max(n1, n2) eps
+        ||W||_F of the true one, as in certificate.verify."""
+        err = max(W.shape) * _EPS * float(np.linalg.norm(W))
+        return max(1.0, float(_singular_values(W, self.symmetric).max()) + err)
+
+    def _distance(self, top, low, lb, mass, scale) -> float:
+        """An upper bound of ||X_o - X*||_F / ||X*||_F over the optima X_o,
+        from the computed M = W + L with ||W||_2 <= scale, or inf when the
+        block's entries of M are not all below the others.
+
+        The proof is for M' = W/scale + L, whose entries lie within
+        eta = (scale - 1) + eps (scale + gamma) of the computed M's (the
+        division and the rounded sum).  If max over S of M' is below its min
+        outside S, by 2 rho > 0, then for every feasible X, as X sums to m,
+        <M', X> - sum_S M' = sum (M' - c) (X - X*) >= rho ||X - X*||_1 with
+        c the midpoint.  With f(X_o) <= f(X*) and f >= <M', .>,
+        ||X_o - X*||_F^2 <= ||X_o - X*||_1 <= (f(X*) - sum_S M') / rho.
+        sum_S M' is bounded below by the computed sum, less m eta and the
+        summation error 2 m eps sum_S |M|; the scalars' own rounding is
+        covered by 8 eps (f(X*) + |lb|) and the factor (1 + 8 eps)."""
+        eta = (scale - 1.0) + _EPS * (scale + self.gamma)
+        rho = 0.5 * (low - top) - eta
+        if not rho > 0.0:
+            return math.inf
+        lb_low = lb - self.m * eta - 2.0 * self.m * _EPS * mass
+        gap = self.f_star - lb_low + 8.0 * _EPS * (self.f_star + abs(lb))
+        return (1.0 + 8.0 * _EPS) * math.sqrt(max(gap, 0.0) / rho) / self.root_m
+
+    def _refutes(self, X: np.ndarray, M: np.ndarray) -> bool:
+        """True when f(P) < f(X*) - drop, for P the projection of X onto the
+        feasible set: then opt <= f(P) is below f at every feasible point
+        within relative distance recovery_tol of X*, so no optimum lies
+        there.  Tried only when the sum of the m smallest entries of M, a
+        lower bound of f(P), leaves room for it.
+
+        The error terms: the computed singular values lie within
+        max(n1, n2) eps ||P||_F of P's, and their sum, the nonedge sum and
+        the sum of P round by at most size eps times their value.  P lies in
+        the box but its sum misses m by |m - sum P|; moving that mass within
+        the box changes f by at most (1 + gamma) times it, as the nuclear
+        norm is at most the entrywise l1 norm."""
+        low = float(np.partition(M, int(self.m) - 1, axis=None)[: int(self.m)].sum())
+        if not self.f_star - low > self.drop:
+            return False
+        P = _box_sum_projection(0.5 * (X + X.T) if self.symmetric else X, self.m)
+        values = _singular_values(P, self.symmetric)
+        nuclear, l1, total = float(values.sum()), float(np.vdot(P, self.nonedge)), float(P.sum())
+        f_p = nuclear + self.gamma * l1
+        delta = (
+            values.size * max(P.shape) * _EPS * float(np.linalg.norm(P))
+            + 2.0 * P.size * _EPS * (nuclear + self.gamma * l1)
+            + (1.0 + self.gamma) * (abs(self.m - total) + 2.0 * P.size * _EPS * total)
+            + 8.0 * _EPS * (self.f_star + f_p + self.drop)
+        )
+        return f_p + delta < self.f_star - self.drop
+
+
+def _box_sum_projection(X: np.ndarray, target: float) -> np.ndarray:
+    """The projection clip(X - theta, 0, 1) of X onto {0 <= X <= 1,
+    sum X = target}, for 0 <= target <= X.size.
+
+    h(theta) = sum clip(X - theta, 0, 1) falls piecewise linearly, with
+    breakpoints at the entries x and at x - 1.  It is evaluated at all of
+    them from the sorted entries and their prefix sums, and theta is
+    interpolated on the piece where h crosses target."""
+    x = np.sort(X, axis=None)
+    sums = np.concatenate(([0.0], np.cumsum(x)))
+    # two sorted runs, which the stable sort merges
+    t = np.sort(np.concatenate((x - 1.0, x)), kind="stable")
+    lo = np.searchsorted(x, t, side="right")
+    hi = np.searchsorted(x, t + 1.0, side="left")
+    h = (x.size - hi) + (sums[hi] - sums[lo]) - t * (hi - lo)
+    j = min(int(np.searchsorted(-h, -target)), h.size - 1)
+    if j == 0 or h[j] == target:
+        theta = t[j]
+    else:
+        theta = t[j - 1] + (h[j - 1] - target) / (h[j - 1] - h[j]) * (t[j] - t[j - 1])
+    return np.clip(X - theta, 0.0, 1.0)
 
 
 def _admm(
@@ -810,7 +1011,9 @@ def _admm(
     gamma: float,
     cfg: SolverConfig,
     symmetric: bool,
+    checkpoint=None,
 ) -> SolverResult:
+    """The solve; checkpoint is _derived_loop's, and paper mode ignores it."""
     shrink = _svt_symmetric if symmetric else _svt_gram
     sweeps = _Sweeps(cfg)
     # one BLAS thread: a threaded solve measured ~3x slower at n=250 and a
@@ -823,13 +1026,9 @@ def _admm(
             if cfg.mode == "paper":
                 X, Y = _paper_loop(nonedge, sum_target, gamma, cfg.tau, shrink, sweeps)
             else:
-                p = _derived_loop(_DerivedSweep(nonedge, sum_target, gamma, cfg.tau, shrink), sweeps)
+                sweep = _DerivedSweep(nonedge, sum_target, gamma, cfg.tau, shrink)
+                p = _derived_loop(sweep, sweeps, checkpoint)
                 X, Y = p.X.copy(), p.U - p.cu
-
-        if np.isfinite(X).all():
-            objective = _nuclear_norm(X, symmetric) + gamma * float(np.abs(Y).sum())
-        else:
-            objective = math.nan
     return SolverResult(
         X=X,
         Y=Y,
@@ -837,12 +1036,13 @@ def _admm(
         converged=sweeps.converged,
         primal_residual=float(sweeps.rp),
         dual_residual=float(sweeps.rd),
-        objective=objective,
         residual_history=np.array(sweeps.rows),
         svt_rank=np.array(sweeps.ranks, dtype=int),
         blas_threads=blas_threads,
         sweep_kind=np.array(sweeps.kinds, dtype=np.int8),
         hit_cap=not sweeps.converged and len(sweeps.rows) == cfg.max_iter,
+        _gamma=gamma,
+        _symmetric=symmetric,
     )
 
 
@@ -891,11 +1091,26 @@ def _paper_loop(nonedge, sum_target, gamma, tau, shrink, sweeps: _Sweeps):
 
 def solve_dks(g: Graph, k: int, cfg: SolverConfig | None = None) -> SolverResult:
     """Run ADMM on the densest k-subgraph relaxation for graph g."""
+    return _solve_dks(g, k, cfg)[0]
+
+
+def _solve_dks(
+    g: Graph, k: int, cfg: SolverConfig | None = None,
+    planted: NodeSubset | None = None, recovery_tol: float = 1e-3,
+) -> tuple[SolverResult, _PlantedProof | None]:
+    """solve_dks, and with a planted set given, the _PlantedProof that
+    checks the derived solve and stops it once it proves where the optima
+    lie against recovery_tol (its stop is None when no proof fired)."""
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(k)
-    return _admm(complement_edges(g), float(k) ** 2, gamma, cfg, symmetric=True)
+    nonedge = complement_edges(g)
+    target = float(k) ** 2
+    proof = None
+    if planted is not None:
+        proof = _PlantedProof(nonedge, (planted, planted), gamma, target, recovery_tol, True)
+    return _admm(nonedge, target, gamma, cfg, symmetric=True, checkpoint=proof), proof
 
 
 def solve_dkb(g: BipartiteGraph, k1: int, k2: int, cfg: SolverConfig | None = None) -> SolverResult:

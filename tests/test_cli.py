@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dksub
 from dksub import graphs, io, solver
 from dksub.cli import _phase_config, _solver_flags, build_parser, main
 from dksub.experiments import PhaseGridConfig
@@ -164,6 +169,30 @@ class TestSolve:
             "iterations", "objective", "primal_residual", "recovered_subset",
         ]
         assert payload["recovered_subset"] == {"u": u, "v": v}
+
+    def test_diverging_paper_mode_writes_strict_json(self, tmp_path):
+        # the diverged residuals and relative error are written as null, and
+        # the overflow in relative_error is silenced as it is in the solve;
+        # run as a process so that stderr is the real one
+        run(["generate", "--model", "dkb", "--n1", 40, "--n2", 36, "--k1", 12, "--k2", 10,
+             "--seed", 2, "--out", tmp_path / "pb.txt"])
+        src = str(Path(dksub.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from dksub.cli import main; sys.exit(main())",
+             "solve", "--graph", str(tmp_path / "pb.txt"), "--k1", "12", "--k2", "10",
+             "--mode", "paper"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(done.stdout, parse_constant=reject)
+        assert payload["primal_residual"] is None
+        assert payload["X_relative_error_vs_ground_truth"] is None
 
     def test_zero_size_sidecar_is_bad_input(self, tmp_path, capsys):
         out = generate_dks(tmp_path)
@@ -484,6 +513,7 @@ class TestPhase:
         assert len(lines) == 3
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["cells"]) == 2
+        assert sum(payload["stops"].values()) == 4
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "grid.json"

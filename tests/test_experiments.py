@@ -119,10 +119,11 @@ class TestRunPhaseDiagram:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr("dksub.experiments.solve_dks", boom)
+        monkeypatch.setattr("dksub.experiments._solve_dks", boom)
         cells, records = run_phase_diagram(cfg)
         assert all(not r.recovered for r in records)
         assert all(r.error and "synthetic failure" in r.error for r in records)
+        assert all(r.stop == "error" and math.isnan(r.proven_distance) for r in records)
         assert sum(c.trials for c in cells) == len(records)
 
     def test_trial_records_have_stream_derived_seeds(self):
@@ -139,7 +140,31 @@ class TestRunPhaseDiagram:
         capped = run_trial(tiny_config(solver=SolverConfig(max_iter=3)), 0, 1, 0)
         assert (capped.converged, capped.iterations, capped.hit_cap) == (False, 3, True)
         done = run_trial(tiny_config(), 0, 1, 0)
-        assert done.converged and not done.hit_cap
+        assert not done.hit_cap and done.stop != "cap"
+
+    def test_paper_mode_trials_run_without_proof(self):
+        # paper mode's iterates diverge, and its finite guard ends the solve
+        rec = run_trial(tiny_config(solver=SolverConfig(mode="paper")), 0, 1, 0)
+        assert (rec.stop, rec.converged, rec.hit_cap) == ("diverged", False, False)
+        assert math.isnan(rec.proven_distance)
+
+    # per-trial verdicts of both grids, in record order, as the grids gave
+    # them before proofs could stop a trial; the stops are this version's
+    @pytest.mark.parametrize(
+        "overrides,verdicts,stops",
+        [
+            ({}, [True, True, True, True, False, True, True, True],
+             ["proof_recovered"] * 4 + ["cap"] + ["proof_recovered"] * 3),
+            (dict(n=60, k_values=(2, 30), p_values=(0.0,), q=0.0, trials=3),
+             [False] * 3 + [True] * 3, ["cap"] * 3 + ["proof_recovered"] * 3),
+        ],
+    )
+    def test_verdicts_match_the_solve_to_tol(self, overrides, verdicts, stops):
+        _, records = run_phase_diagram(tiny_config(**overrides))
+        assert [r.recovered for r in records] == verdicts
+        assert [r.stop for r in records] == stops
+        for r in records:
+            assert (r.stop == "proof_recovered") == (r.proven_distance < 1e-3)
 
 
 class TestCsv:

@@ -1,0 +1,222 @@
+"""The proofs that stop a phase-grid trial (solver._PlantedProof).
+
+At every checkpoint the proof reads a dual pair from the sweep: W = (C - X)
+/ phi_x and L = -tau cu on the nonedges.  Its claims are tested against
+what they promise: the dual bound never exceeds f at a feasible point, a
+proven distance bounds the distance of the optimum that a long solve
+reaches, a refutation leaves that optimum outside recovery_tol, and a proof
+of recovery agrees with the exhaustive oracle.
+"""
+
+import math
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dksub
+from dksub.experiments import PhaseGridConfig, run_trial
+from dksub.graphs import complement_edges
+from dksub.models import PlantedDksParams, sample_dks
+from dksub.solver import (
+    SolverConfig,
+    _PlantedProof,
+    _box_sum_projection,
+    _solve_dks,
+    relative_error,
+    round_to_subset,
+    solve_dks,
+)
+
+TOL = 1e-3  # recovery_tol, as in the phase grid
+
+
+def f_block(nonedge, members, gamma):
+    """f(1_T 1_T') = |T| + gamma (nonedge entries of T x T)."""
+    idx = np.asarray(members)
+    return len(idx) + gamma * float(nonedge[np.ix_(idx, idx)].sum())
+
+
+@contextmanager
+def checkpoints():
+    """Yield the list of (proof, M, W, X) that each checkpoint of the solves
+    run inside built, copied before the solve moves on."""
+    seen = []
+    original = _PlantedProof._dual
+
+    def spy(self, sweep, p):
+        M, W = original(self, sweep, p)
+        seen.append((self, M.copy(), W.copy(), p.X.copy()))
+        return M, W
+
+    with mock.patch.object(_PlantedProof, "_dual", spy):
+        yield seen
+
+
+def proven_distance(proof, M, W):
+    """The distance the checkpoint proves from M and W, as __call__ takes it."""
+    block = M[proof.block]
+    low = float(M[proof.outside].min()) if proof.outside.any() else math.inf
+    return proof._distance(
+        float(block.max()), low, float(block.sum()), float(np.abs(block).sum()),
+        proof._norm_bound(W.copy()),
+    )
+
+
+def dual_bound(proof, M, W, sign=1.0):
+    """min <W/s + sign L, X> over the feasible set: the sum of the m
+    smallest entries, with s from the proof's own bound on ||W||_2."""
+    L = M - W
+    scaled = W / proof._norm_bound(W.copy()) + sign * L
+    m = int(proof.m)
+    return float(np.partition(scaled, m - 1, axis=None)[:m].sum())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(8, 20),
+    frac=st.floats(0.2, 0.6),
+    p=st.floats(0.0, 0.3),
+    q=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**16),
+)
+def test_every_checkpoint_is_sound(n, frac, p, q, seed):
+    k = max(2, round(frac * n))
+    inst = sample_dks(PlantedDksParams(n=n, k=k, p=p, q=q, seed=seed))
+    nonedge = complement_edges(inst.graph)
+    gamma = 6.0 / k
+    with checkpoints() as seen:
+        _solve_dks(inst.graph, k, SolverConfig(max_iter=400), inst.planted, TOL)
+    # the optimum, up to the accuracy of a long solve
+    long = solve_dks(inst.graph, k, SolverConfig(tol=1e-9))
+    f_star = f_block(nonedge, inst.planted.members, gamma)
+    for proof, M, W, X in seen:
+        assert proof.f_star == pytest.approx(f_star, rel=1e-15)
+        L = M - W
+        # L lives on the nonedges, within gamma
+        assert not L[~nonedge].any()
+        assert np.abs(L).max() <= gamma * (1 + 1e-12)
+        # any feasible point bounds the dual bound from above: X* and the
+        # rounded answer's indicator
+        lb = dual_bound(proof, M, W)
+        assert lb <= f_star * (1 + 1e-12)
+        rounded = round_to_subset(X, k)
+        assert lb <= f_block(nonedge, rounded.members, gamma) * (1 + 1e-12)
+        if long.converged:
+            err = relative_error(long.X, inst.planted)
+            distance = proven_distance(proof, M, W)
+            assert err <= distance + 1e-5
+            if proof._refutes(X, M):
+                assert err >= TOL - 1e-5
+
+
+def test_the_sign_of_L_is_what_makes_the_proof_fire():
+    # any L within gamma gives a valid bound, so the sign cannot show in
+    # soundness; it shows in tightness.  At the checkpoint where the proof
+    # fires, the dual bound sits within the proof's gap of f(X*); with L's
+    # sign flipped it falls far below, and no distance is proven.
+    inst = sample_dks(PlantedDksParams(n=60, k=24, p=0.05, q=0.25, seed=3))
+    with checkpoints() as seen:
+        _, proof = _solve_dks(inst.graph, 24, None, inst.planted, TOL)
+    assert proof.stop == "proof_recovered"
+    _, M, W, _ = seen[-1]
+    assert proven_distance(proof, M, W) < TOL
+    assert proof.f_star - dual_bound(proof, M, W) < 1e-3
+    assert proof.f_star - dual_bound(proof, M, W, sign=-1.0) > 1.0
+    L = M - W
+    assert proven_distance(proof, W - L, W) >= TOL
+
+
+def test_proven_distance_bounds_the_solved_optimum():
+    # the recovery proof at phase-pool shape, against solves run to tol
+    for seed in range(4):
+        inst = sample_dks(PlantedDksParams(n=60, k=24, p=0.05, q=0.25, seed=seed))
+        result, proof = _solve_dks(inst.graph, 24, None, inst.planted, TOL)
+        assert proof.stop == "proof_recovered"
+        assert 0.0 < proof.distance < TOL
+        full = solve_dks(inst.graph, 24, SolverConfig(tol=1e-9))
+        assert full.converged
+        assert relative_error(full.X, inst.planted) <= proof.distance
+        # the proof stops the solve early, on the same sweeps
+        assert result.iterations < full.iterations
+        history = full.residual_history[: result.iterations]
+        assert np.array_equal(result.residual_history, history)
+
+
+def test_distance_is_the_square_root_of_gap_over_half_the_margin():
+    inst = sample_dks(PlantedDksParams(n=12, k=5, p=0.1, q=0.1, seed=2))
+    proof = _PlantedProof(complement_edges(inst.graph), (inst.planted,) * 2, 1.2, 25.0, TOL, True)
+    # M is 0.1 at most on the block and 0.5 at least off it: rho = 0.2
+    lb = proof.f_star - 0.008
+    assert proof._distance(0.1, 0.5, lb, 2.5, 1.0) == pytest.approx(math.sqrt(0.04) / 5, rel=1e-9)
+    # the error terms only widen it, and no margin proves nothing
+    assert proof._distance(0.1, 0.5, lb, 2.5, 1.0 + 1e-6) > proof._distance(0.1, 0.5, lb, 2.5, 1.0)
+    assert proof._distance(0.5, 0.5, lb, 2.5, 1.0) == math.inf
+
+
+@pytest.mark.parametrize("size", [7, 12])
+def test_box_sum_projection_is_the_projection(size):
+    rng = np.random.default_rng(size)
+    X = rng.normal(0.3, 0.8, (size, size))
+    for target in (1.0, 0.3 * size * size, size * size - 0.5):
+        P = _box_sum_projection(X, target)
+        assert P.min() >= 0.0 and P.max() <= 1.0
+        assert P.sum() == pytest.approx(target, abs=1e-9 * size * size)
+        # KKT: P = clip(X - theta, 0, 1) for one theta
+        inside = (P > 0) & (P < 1)
+        theta = (X - P)[inside]
+        assert np.ptp(theta) < 1e-12
+        assert (X[P == 0] <= theta[0] + 1e-12).all()
+        assert (X[P == 1] >= theta[0] + 1 - 1e-12).all()
+
+
+def test_refutation_stops_a_small_k_trial():
+    # k=6 of n=60 at p=0.05, q=0.25: the planted set is not recovered, and
+    # the proof stops the solve at sweep 300, where tol stops it at 383
+    inst = sample_dks(PlantedDksParams(n=60, k=6, p=0.05, q=0.25, seed=6002))
+    result, proof = _solve_dks(inst.graph, 6, None, inst.planted, TOL)
+    assert proof.stop == "proof_not_recovered"
+    assert math.isnan(proof.distance)
+    assert result.iterations == 300 and not result.hit_cap
+    assert relative_error(solve_dks(inst.graph, 6).X, inst.planted) >= TOL
+
+
+def oracle_agrees(inst, k):
+    oracle = dksub.brute_force_dks(inst.graph, k)
+    return oracle.unique and oracle.optimal_subsets[0].members == inst.planted.members
+
+
+def test_proof_of_recovery_agrees_with_the_oracle():
+    # on criterion 3's n=14 instances and criterion 5's n <= 20 ones, a
+    # proven recovery makes the planted set the unique densest k-subgraph:
+    # any other subset T has ||X_T - X*||_1 >= 2(2k - 1), far beyond the
+    # proven distance
+    proven = 0
+    rng = dksub.stream_rng(777)
+    cases = []
+    for trial in range(100):
+        k = 3 + trial % 5
+        p, q = float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.5))
+        cases.append(PlantedDksParams(n=14, k=k, p=p, q=q, seed=10_000 + trial))
+    for n, k in [(16, 8), (18, 9), (20, 10)]:
+        for p, q in [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.05, 0.05)]:
+            cases += [PlantedDksParams(n=n, k=k, p=p, q=q, seed=seed) for seed in range(3)]
+    for params in cases:
+        inst = sample_dks(params)
+        _, proof = _solve_dks(inst.graph, params.k, None, inst.planted, TOL)
+        if proof.stop == "proof_recovered":
+            proven += 1
+            assert oracle_agrees(inst, params.k), params
+    assert proven >= 20
+
+
+def test_run_trial_never_computes_the_objective(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dksub.solver, "_nuclear_norm", lambda *a: calls.append(a))
+    cfg = PhaseGridConfig(n=30, q=0.0, p_values=(0.0,), k_values=(12,), trials=1)
+    record = run_trial(cfg, 0, 0, 0)
+    assert record.error is None and record.recovered
+    assert calls == []

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -626,6 +627,51 @@ class TestRoundToSubset:
         X = np.random.default_rng(11).random((9, 9))
         X = X + X.T
         assert round_to_subset(X, (4, 4)) == (round_to_subset(X, 4),) * 2
+
+
+class TestLazyObjective:
+    @staticmethod
+    def eager(result, gamma, symmetric):
+        """The objective as every solve used to compute it at its end."""
+        with solver._one_blas_thread():
+            if not np.isfinite(result.X).all():
+                return math.nan
+            return solver._nuclear_norm(result.X, symmetric) + gamma * float(
+                np.abs(result.Y).sum())
+
+    @staticmethod
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    def test_square_and_bipartite_match_bitwise(self):
+        inst = sample_dks(PlantedDksParams(n=40, k=15, p=0.05, q=0.2, seed=3))
+        result = solve_dks(inst.graph, 15)
+        assert self.same(result.objective, self.eager(result, default_gamma(15), True))
+        b = sample_dkb(PlantedDkbParams(n1=30, n2=24, k1=10, k2=8, p=0.05, q=0.2, seed=3))
+        result = solve_dkb(b.graph, 10, 8)
+        gamma = solver.default_gamma_bipartite(10, 8)
+        assert self.same(result.objective, self.eager(result, gamma, False))
+
+    def test_diverging_paper_mode_matches_bitwise(self):
+        b = sample_dkb(PlantedDkbParams(n1=40, n2=36, k1=12, k2=10, p=0.0, q=0.0, seed=2))
+        result = solve_dkb(b.graph, 12, 10, SolverConfig(mode="paper"))
+        assert not math.isfinite(result.primal_residual)
+        gamma = solver.default_gamma_bipartite(12, 10)
+        assert self.same(result.objective, self.eager(result, gamma, False))
+        # a non-finite X has no objective
+        broken = dataclasses.replace(result, X=np.full_like(result.X, np.inf))
+        assert math.isnan(broken.objective)
+
+    def test_computed_once_on_first_read(self, monkeypatch):
+        inst = sample_dks(PlantedDksParams(n=20, k=8, p=0.0, q=0.0, seed=1))
+        calls = []
+        original = solver._nuclear_norm
+        monkeypatch.setattr(
+            solver, "_nuclear_norm", lambda *a: calls.append(a) or original(*a))
+        result = solve_dks(inst.graph, 8)
+        assert calls == []
+        assert result.objective == result.objective
+        assert len(calls) == 1
 
 
 class TestObjectiveDominance:
