@@ -836,33 +836,46 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps, checkpoint=None) -> _Po
     return p
 
 
-# the recovery proof's checkpoints: the first sweep that moves the point at
-# or after sweep _PROOF_START, then every _PROOF_EVERY sweeps.  The
-# non-recovery proof, which costs an eigensolve and a sort, is tried from
-# sweep _REFUTE_START every _REFUTE_EVERY sweeps.
+# the recovery proof's checkpoints: every sweep that moves the point up to
+# sweep _PROOF_START, then every _PROOF_EVERY sweeps.  The non-recovery
+# proof, which costs an eigensolve and a sort, is tried from sweep
+# _REFUTE_START every _REFUTE_EVERY sweeps.
 _PROOF_START, _PROOF_EVERY = 30, 5
 _REFUTE_START, _REFUTE_EVERY = 200, 100
 
 
 class _PlantedProof:
     """The checkpoint of a derived solve whose planted set S is known: it
-    proves from the sweep's own dual pair that every optimum of the
-    relaxation lies within recovery_tol of X* = 1_S 1_S' (stop
-    "proof_recovered", with the bound in distance), or that none does (stop
-    "proof_not_recovered").  See README, "Stopping a trial by proof".
+    proves from the sweep's own dual that every optimum of the relaxation
+    lies within recovery_tol of X* = 1_S 1_S' (stop "proof_recovered", with
+    the bound in distance), or that none does (stop "proof_not_recovered").
+    See README, "Stopping a trial by proof".
 
     f(X) = ||X||_* + gamma sum_nonedge |X|.  Any W with ||W||_2 <= 1 and
     any L with |L| <= gamma on the nonedges and 0 elsewhere give
     f(X) >= <W + L, X> for every X.  The sweep holds W = (C - X)/phi_x, from
-    its X-step's input C and output X, and L = -tau cu on the nonedges.
+    its X-step's input C and output X, with ||W||_2 <= 1 up to rounding.
+    The proof projects it onto the conditions of the certificate at X*:
+    W' = u v' + P_u W P_v, with u and v the unit indicators of the planted
+    rows and columns and P_u = I - u u'; and it takes L = gamma on every
+    nonedge, the tight value on the block and the largest allowed outside.
+    Then ||W'||_2 = max(1, ||P_u W P_v||_2) <= max(1, ||W||_2) and
+    <W' + L, X*> = f(X*), so the proof holds as soon as every entry of
+    M = W' + L on the block lies below every entry outside it.
     """
 
     def __init__(self, nonedge, planted, gamma, sum_target, recovery_tol, symmetric):
         rows, cols = (np.array(s.members, dtype=np.intp) for s in planted)
         self.block = np.ix_(rows, cols)
-        self.outside = np.ones(nonedge.shape, dtype=bool)
-        self.outside[self.block] = False
+        self.u, self.v = (s.indicator() / math.sqrt(len(s.members)) for s in planted)
+        # the factors of _project's rank-two update, in Fortran order
+        self.left = np.zeros((self.v.size, 2), order="F")
+        self.right = np.zeros((self.u.size, 2), order="F")
+        self.left[:, 1], self.right[:, 0] = self.v, self.u
         self.nonedge = nonedge.astype(float)
+        # the l1 multipliers, and phi_x L for _screen
+        self.L = gamma * self.nonedge
+        self.lift = None
         self.gamma = gamma
         self.symmetric = symmetric
         self.m = sum_target
@@ -876,7 +889,7 @@ class _PlantedProof:
         lipschitz = math.sqrt(min(nonedge.shape)) + gamma * math.sqrt(count * (1.0 - count / size))
         # the drop of f within relative distance recovery_tol of X*
         self.drop = lipschitz * recovery_tol * self.root_m
-        self.due, self.refute_due = _PROOF_START, _REFUTE_START
+        self.due, self.refute_due = 1, _REFUTE_START
         self.stop: str | None = None
         self.distance = math.nan
 
@@ -885,43 +898,78 @@ class _PlantedProof:
         if count < self.due:
             return False
         while self.due <= count:
-            self.due += _PROOF_EVERY
-        M, W = self._dual(sweep, p)
-        block = M[self.block]
-        top, low = float(block.max()), float(np.min(M, where=self.outside, initial=math.inf))
-        lb, mass = float(block.sum()), float(np.abs(block).sum())
-        if self._distance(top, low, lb, mass, 1.0) < self.tol:
-            # the proof is about to fire: now bound ||W||_2
-            distance = self._distance(top, low, lb, mass, self._norm_bound(W))
+            self.due += 1 if self.due < _PROOF_START else _PROOF_EVERY
+        if self._screen(sweep, p) < self.tol:
+            # the proof is about to fire: build the exact dual and bound
+            # ||W'||_2
+            M, W = self._dual(sweep, p)
+            distance = self._distance(*self._extremes(M), self._norm_bound(W))
             if distance < self.tol:
                 self.stop, self.distance = "proof_recovered", distance
                 return True
         if count >= self.refute_due:
             while self.refute_due <= count:
                 self.refute_due += _REFUTE_EVERY
-            if self._refutes(p.X, M):
+            if self._refutes(p.X, self._dual(sweep, p)[0]):
                 self.stop = "proof_not_recovered"
                 return True
         return False
 
-    def _dual(self, sweep: _DerivedSweep, p: _Point) -> tuple[np.ndarray, np.ndarray]:
-        """M = W + L and W, in the sweep's Q and T, which are free until the
-        next sweep rewrites them.  In the square case W is (D + D')/(2 phi_x)
-        with D = C - X, exactly symmetric, so that its norm is an
-        eigenvalue's; L is -tau cu clipped to [-gamma, gamma] on the
-        nonedges and 0 elsewhere."""
-        M, W = sweep.Q, sweep.T
-        np.subtract(sweep.C, p.X, out=M)
+    def _project(self, sweep: _DerivedSweep, p: _Point) -> np.ndarray:
+        """G in the sweep's Q, which is free until the next sweep rewrites
+        it: W' is G / phi_x off the square case and (G + G') / (2 phi_x) in
+        it.
+
+        With E = C - X, so that phi_x W = E (E's symmetric part in the
+        square case), a = E v and b = E'u (both their mean in the square
+        case), G = E - u b' - (a - (u'a + phi_x) u) v'.  The rank-two update
+        is one BLAS call on G' (G in Fortran order), in place, with the
+        factors [b, v] and [u, a - (u'a + phi_x) u] in left and right."""
+        G, u, v = np.subtract(sweep.C, p.X, out=sweep.Q), self.u, self.v
+        b, a = self.left[:, 0], self.right[:, 1]
+        np.dot(u, G, out=b)
+        np.dot(G, v, out=a)
         if self.symmetric:
-            np.add(M, M.T, out=W)
+            a += b
+            a *= 0.5
+            b[:] = a
+        a -= (float(u @ a) + sweep.phi_x) * u
+        blas.dgemm(-1.0, self.left, self.right, beta=1.0, c=G.T, overwrite_c=True, trans_b=True)
+        return G
+
+    def _screen(self, sweep: _DerivedSweep, p: _Point) -> float:
+        """The distance _distance gives with ||W'||_2 taken as 1, read off
+        G / phi_x + L instead of M, which saves the transposed add.  In the
+        square case M's block is the mean of that matrix's and its
+        transpose's, as is the rest, so that matrix's largest block entry
+        is no smaller than M's, its smallest other entry no larger, and its
+        block sum the same: up to rounding, the screen passes only where
+        the exact test would."""
+        if self.lift is None:
+            self.lift = sweep.phi_x * self.L
+        G = self._project(sweep, p)
+        G += self.lift
+        scale = 1.0 / sweep.phi_x
+        return self._distance(*(x * scale for x in self._extremes(G)), 1.0)
+
+    def _dual(self, sweep: _DerivedSweep, p: _Point) -> tuple[np.ndarray, np.ndarray]:
+        """M = W' + L and W', in the sweep's Q and T, which are free until
+        the next sweep rewrites them.  In the square case W' is exactly
+        symmetric, so that its norm is an eigenvalue's."""
+        G, W = self._project(sweep, p), sweep.T
+        if self.symmetric:
+            np.add(G, G.T, out=W)
             W *= 0.5 / sweep.phi_x
         else:
-            np.multiply(M, 1.0 / sweep.phi_x, out=W)
-        np.multiply(p.cu, -sweep.tau, out=M)
-        np.clip(M, -self.gamma, self.gamma, out=M)
-        M *= self.nonedge
-        M += W
-        return M, W
+            np.multiply(G, 1.0 / sweep.phi_x, out=W)
+        return np.add(W, self.L, out=G), W
+
+    def _extremes(self, M: np.ndarray) -> tuple[float, float, float, float]:
+        """The largest entry of M on the block, the smallest outside it, and
+        the block's sum and absolute sum.  Writes +inf over M's block."""
+        block = M[self.block]
+        M[self.block] = math.inf
+        return float(block.max()), float(M.min()), float(block.sum()), float(np.abs(block).sum())
 
     def _norm_bound(self, W: np.ndarray) -> float:
         """max(1, an upper bound of ||W||_2), by one eigensolve (an SVD off

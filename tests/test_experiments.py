@@ -113,6 +113,22 @@ class TestRunPhaseDiagram:
         random.Random(3).shuffle(shuffled)
         assert aggregate(shuffled) == aggregate(records)
 
+    def test_cell_error_reads_the_proof_where_it_fired(self):
+        # the k=5, p=0 trials stop by proof at sweep 40 with their iterates
+        # at relative error 0.98; their cell reads the proven bound
+        cells, records = run_phase_diagram(tiny_config())
+        assert all(math.isfinite(c.mean_relative_error) for c in cells)
+        for cell in cells:
+            recs = [r for r in records if (r.p, r.k) == (cell.p, cell.k)]
+            if all(r.stop == "proof_recovered" for r in recs):
+                assert cell.mean_relative_error < 1e-3
+                assert cell.mean_relative_error == pytest.approx(
+                    np.mean([r.proven_distance for r in recs]), rel=1e-12
+                )
+        (clean,) = [c for c in cells if (c.p, c.k) == (0.0, 5)]
+        assert clean.recoveries == 2 and clean.mean_relative_error < 1e-3
+        assert min(r.relative_error for r in records if r.k == 5 and r.p == 0.0) > 0.9
+
     def test_failures_are_tagged_not_raised(self, monkeypatch):
         cfg = tiny_config()
 
@@ -137,9 +153,10 @@ class TestRunPhaseDiagram:
         )
 
     def test_hit_cap_only_when_stopped_by_max_iter(self):
-        capped = run_trial(tiny_config(solver=SolverConfig(max_iter=3)), 0, 1, 0)
+        # the p=0.2, k=12 cell, whose proof fires at sweep 5
+        capped = run_trial(tiny_config(solver=SolverConfig(max_iter=3)), 1, 1, 0)
         assert (capped.converged, capped.iterations, capped.hit_cap) == (False, 3, True)
-        done = run_trial(tiny_config(), 0, 1, 0)
+        done = run_trial(tiny_config(), 1, 1, 0)
         assert not done.hit_cap and done.stop != "cap"
 
     def test_paper_mode_trials_run_without_proof(self):

@@ -1,15 +1,19 @@
 """The proofs that stop a phase-grid trial (solver._PlantedProof).
 
-At every checkpoint the proof reads a dual pair from the sweep: W = (C - X)
-/ phi_x and L = -tau cu on the nonedges.  Its claims are tested against
-what they promise: the dual bound never exceeds f at a feasible point, a
-proven distance bounds the distance of the optimum that a long solve
-reaches, a refutation leaves that optimum outside recovery_tol, and a proof
-of recovery agrees with the exhaustive oracle.
+At every checkpoint the proof reads W = (C - X) / phi_x from the sweep and
+projects it onto the certificate's conditions at X* = 1_S 1_S':
+W' = u u' + P W P with u = 1_S / sqrt(k) and P = I - u u', and L = gamma on
+every nonedge.  Its claims are tested against what they promise: the
+projection keeps ||W'||_2 <= max(1, ||W||_2) and makes the bound tight at
+X*, the dual bound never exceeds f at a feasible point, a proven distance
+bounds the distance of the optimum that a long solve reaches, a refutation
+leaves that optimum outside recovery_tol, and a proof of recovery agrees
+with the exhaustive oracle.
 """
 
 import math
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 
 import dksub
 from dksub.experiments import PhaseGridConfig, run_trial
-from dksub.graphs import complement_edges
+from dksub.graphs import NodeSubset, complement_edges
 from dksub.models import PlantedDksParams, sample_dks
 from dksub.solver import (
     SolverConfig,
@@ -29,6 +33,7 @@ from dksub.solver import (
     relative_error,
     round_to_subset,
     solve_dks,
+    svt,
 )
 
 TOL = 1e-3  # recovery_tol, as in the phase grid
@@ -42,24 +47,28 @@ def f_block(nonedge, members, gamma):
 
 @contextmanager
 def checkpoints():
-    """Yield the list of (proof, M, W, X) that each checkpoint of the solves
-    run inside built, copied before the solve moves on."""
+    """Yield the list of (proof, M, W, X) of every due checkpoint of the
+    solves run inside: the dual M = W' + L and W' that the checkpoint would
+    prove from, copied before the solve moves on."""
     seen = []
-    original = _PlantedProof._dual
+    original = _PlantedProof.__call__
 
-    def spy(self, sweep, p):
-        M, W = original(self, sweep, p)
-        seen.append((self, M.copy(), W.copy(), p.X.copy()))
-        return M, W
+    def spy(self, sweep, p, count):
+        if count >= self.due:
+            M, W = self._dual(sweep, p)
+            seen.append((self, M.copy(), W.copy(), p.X.copy()))
+        return original(self, sweep, p, count)
 
-    with mock.patch.object(_PlantedProof, "_dual", spy):
+    with mock.patch.object(_PlantedProof, "__call__", spy):
         yield seen
 
 
 def proven_distance(proof, M, W):
     """The distance the checkpoint proves from M and W, as __call__ takes it."""
     block = M[proof.block]
-    low = float(M[proof.outside].min()) if proof.outside.any() else math.inf
+    outside = np.ones(M.shape, dtype=bool)
+    outside[proof.block] = False
+    low = float(M[outside].min()) if outside.any() else math.inf
     return proof._distance(
         float(block.max()), low, float(block.sum()), float(np.abs(block).sum()),
         proof._norm_bound(W.copy()),
@@ -68,7 +77,8 @@ def proven_distance(proof, M, W):
 
 def dual_bound(proof, M, W, sign=1.0):
     """min <W/s + sign L, X> over the feasible set: the sum of the m
-    smallest entries, with s from the proof's own bound on ||W||_2."""
+    smallest entries, with s from the proof's own bound on ||W||_2 and
+    L = M - W, gamma on every nonedge."""
     L = M - W
     scaled = W / proof._norm_bound(W.copy()) + sign * L
     m = int(proof.m)
@@ -113,21 +123,132 @@ def test_every_checkpoint_is_sound(n, frac, p, q, seed):
                 assert err >= TOL - 1e-5
 
 
-def test_the_sign_of_L_is_what_makes_the_proof_fire():
-    # any L within gamma gives a valid bound, so the sign cannot show in
-    # soundness; it shows in tightness.  At the checkpoint where the proof
-    # fires, the dual bound sits within the proof's gap of f(X*); with L's
-    # sign flipped it falls far below, and no distance is proven.
-    inst = sample_dks(PlantedDksParams(n=60, k=24, p=0.05, q=0.25, seed=3))
+def projected(proof, C, X, phi):
+    """_dual on a stand-in sweep that holds C and phi_x, at the point X:
+    M, W' and the raw W = (C - X)/phi (its symmetric part in the square
+    case)."""
+    sweep = SimpleNamespace(C=C, Q=np.empty(C.shape), T=np.empty(C.shape), phi_x=phi)
+    M, W = proof._dual(sweep, SimpleNamespace(X=X))
+    raw = (C - X) / phi
+    if proof.symmetric:
+        raw = 0.5 * (raw + raw.T)
+    return M.copy(), W.copy(), raw
+
+
+def spectral_norm(A):
+    return float(np.linalg.norm(A, 2))
+
+
+@pytest.mark.parametrize("shrink", [True, False])
+def test_projection_meets_the_certificate_conditions(shrink):
+    # W' = u u' + P W P: exactly symmetric, no larger in norm than
+    # max(1, ||W||), W' u = u and 1_S' W' 1_S = k, and M - W' = gamma on
+    # the nonedges.  With shrink, X is the SVT of C and ||W|| <= 1, as in a
+    # sweep; without it ||W|| > 1.
+    rng = np.random.default_rng(5)
+    inst = sample_dks(PlantedDksParams(n=16, k=6, p=0.1, q=0.2, seed=4))
+    nonedge = complement_edges(inst.graph)
+    proof = _PlantedProof(nonedge, (inst.planted,) * 2, 1.0, 36.0, TOL, True)
+    phi = 0.8
+    C = rng.normal(0.2, 1.0, (16, 16))
+    C = C + C.T
+    X = svt(C, phi) if shrink else rng.uniform(0.0, 1.0, (16, 16))
+    M, W, raw = projected(proof, C, X, phi)
+    assert np.array_equal(W, W.T)
+    err = 16 * np.finfo(float).eps * float(np.linalg.norm(W))
+    assert spectral_norm(W) <= max(1.0, spectral_norm(raw)) + err
+    assert (spectral_norm(raw) > 1.01) != shrink
+    u = inst.planted.indicator() / math.sqrt(6)
+    assert np.allclose(W @ u, u, rtol=0, atol=1e-14)
+    assert float(W[proof.block].sum()) == pytest.approx(6.0, rel=1e-14)
+    # P W' P = P W P
+    P = np.eye(16) - np.outer(u, u)
+    assert np.allclose(P @ W @ P, P @ raw @ P, rtol=0, atol=1e-13)
+    assert np.array_equal(M - W == 0, ~nonedge)
+    assert np.allclose((M - W)[nonedge], 1.0, rtol=1e-15)
+
+
+def test_bipartite_projection_meets_the_certificate_conditions():
+    # no caller builds the rectangular proof, so it is built here directly:
+    # W' = u v' + P_u W P_v, with 1_S1' W' 1_S2 = sqrt(k1 k2)
+    rng = np.random.default_rng(6)
+    n1, n2, k1, k2 = 9, 13, 4, 6
+    S1 = NodeSubset(tuple(sorted(rng.choice(n1, k1, replace=False).tolist())), n1)
+    S2 = NodeSubset(tuple(sorted(rng.choice(n2, k2, replace=False).tolist())), n2)
+    nonedge = rng.random((n1, n2)) < 0.3
+    proof = _PlantedProof(nonedge, (S1, S2), 0.7, float(k1 * k2), TOL, False)
+    C, phi = rng.normal(0.3, 1.0, (n1, n2)), 0.9
+    M, W, raw = projected(proof, C, svt(C, phi), phi)
+    err = n2 * np.finfo(float).eps * float(np.linalg.norm(W))
+    assert spectral_norm(W) <= max(1.0, spectral_norm(raw)) + err
+    u, v = S1.indicator() / math.sqrt(k1), S2.indicator() / math.sqrt(k2)
+    assert np.allclose(W @ v, u, rtol=0, atol=1e-14)
+    assert np.allclose(u @ W, v, rtol=0, atol=1e-14)
+    assert float(W[proof.block].sum()) == pytest.approx(math.sqrt(k1 * k2), rel=1e-14)
+    Pu, Pv = np.eye(n1) - np.outer(u, u), np.eye(n2) - np.outer(v, v)
+    assert np.allclose(Pu @ W @ Pv, Pu @ raw @ Pv, rtol=0, atol=1e-13)
+    assert np.allclose((M - W)[nonedge], 0.7, rtol=1e-15)
+    assert not (M - W)[~nonedge].any()
+
+
+def test_every_checkpoint_dual_is_projected():
+    # the duals the phase-pool solves check, from sweep 1 on
+    for seed in range(3):
+        inst = sample_dks(PlantedDksParams(n=60, k=24, p=0.05, q=0.25, seed=seed))
+        with checkpoints() as seen:
+            result, proof = _solve_dks(inst.graph, 24, None, inst.planted, TOL)
+        assert proof.stop == "proof_recovered"
+        assert len(seen) == result.iterations
+        for _, M, W, _ in seen:
+            assert np.array_equal(W, W.T)
+            assert float(W[proof.block].sum()) == pytest.approx(24.0, rel=1e-13)
+            assert proof._norm_bound(W) <= 1.0 + 1e-12
+        # the sum over the block is f(X*), up to rounding
+        assert float(M[proof.block].sum()) == pytest.approx(proof.f_star, rel=1e-13)
+
+
+def stop_sweep(inst, k, proof_class=_PlantedProof):
+    with mock.patch.object(dksub.solver, "_PlantedProof", proof_class):
+        result, proof = _solve_dks(inst.graph, k, None, inst.planted, TOL)
+    return result.iterations, proof.stop
+
+
+class _Unprojected(_PlantedProof):
+    """The raw sweep dual W = (C - X) / phi_x, with L = gamma."""
+
+    def _project(self, sweep, p):
+        return np.subtract(sweep.C, p.X, out=sweep.Q)
+
+
+class _NegativeL(_PlantedProof):
+    """The projected W', with L = -gamma on every nonedge."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.L = -self.L
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_projection_and_the_sign_of_L_make_the_proof_fire(seed):
+    # any W and L within their bounds give a valid bound, so neither the
+    # projection nor L's sign can show in soundness; they show in
+    # tightness.  At the sweep where the proof fires, the dual bound sits
+    # at f(X*); with L's sign flipped it falls far below, and no distance
+    # is proven.  Without the projection, or with L at -gamma, the proof
+    # does not fire at that sweep.
+    inst = sample_dks(PlantedDksParams(n=60, k=24, p=0.05, q=0.25, seed=seed))
     with checkpoints() as seen:
-        _, proof = _solve_dks(inst.graph, 24, None, inst.planted, TOL)
-    assert proof.stop == "proof_recovered"
-    _, M, W, _ = seen[-1]
+        fired, stop = stop_sweep(inst, 24)
+    assert stop == "proof_recovered" and fired < 30
+    proof, M, W, _ = seen[-1]
     assert proven_distance(proof, M, W) < TOL
-    assert proof.f_star - dual_bound(proof, M, W) < 1e-3
+    assert proof.f_star - dual_bound(proof, M, W) < 1e-9
     assert proof.f_star - dual_bound(proof, M, W, sign=-1.0) > 1.0
     L = M - W
     assert proven_distance(proof, W - L, W) >= TOL
+    for mutant in (_Unprojected, _NegativeL):
+        sweeps, _ = stop_sweep(inst, 24, mutant)
+        assert sweeps > fired, mutant.__name__
 
 
 def test_proven_distance_bounds_the_solved_optimum():
