@@ -124,8 +124,9 @@ def _members(subsets) -> list | dict:
 
 
 def _solve_report(result: solver.SolverResult) -> dict:
-    """The SolverResult fields that solve and bench both report."""
-    fields = ("converged", "iterations", "hit_cap", "blas_threads")
+    """The SolverResult fields that solve and bench both report;
+    proven_distance, NaN when no proof fired, is written as null."""
+    fields = ("converged", "iterations", "hit_cap", "stop", "proven_distance", "blas_threads")
     return {name: getattr(result, name) for name in fields} | result.anderson_counts()
 
 

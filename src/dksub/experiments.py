@@ -84,9 +84,9 @@ class TrialRecord:
     trial "error".
 
     recovered is the proof's verdict when a proof fired, and otherwise
-    whether the returned X lies within recovery_tol; relative_error is
-    always the returned X's, which a recovery proof can stop far from the
-    planted matrix, and iterations counts the sweeps run."""
+    whether the returned X lies within recovery_tol.  relative_error is the
+    returned X's: 0 after "proof_recovered", whose solve returns the
+    planted matrix itself.  iterations counts the sweeps run."""
 
     p: float
     k: int
@@ -139,8 +139,7 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
         if proof.stop is not None:
             stop, recovered = proof.stop, proof.stop == "proof_recovered"
         else:
-            stop = "tol" if result.converged else "cap" if result.hit_cap else "diverged"
-            recovered = bool(err < cfg.recovery_tol)
+            stop, recovered = result.stop, bool(err < cfg.recovery_tol)
         return TrialRecord(
             p=p, k=k, trial=trial, seed=seed,
             recovered=recovered,
@@ -150,7 +149,7 @@ def run_trial(cfg: PhaseGridConfig, p_idx: int, k_idx: int, trial: int) -> Trial
             wall_time=time.perf_counter() - start,
             hit_cap=result.hit_cap,
             stop=stop,
-            proven_distance=proof.distance,
+            proven_distance=result.proven_distance,
         )
     except Exception as exc:  # record the failure, never abort the grid
         return TrialRecord(

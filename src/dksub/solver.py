@@ -25,6 +25,10 @@ around admits two readings that do not agree:
   W is X plus a constant and U_W is a constant: the sweep holds both as
   scalars (see _DerivedSweep).  A solve still unconverged after 100 sweeps
   continues under safeguarded Anderson acceleration (see _derived_loop).
+  A checkpoint between sweeps reads the sweep's own dual, and the solve
+  stops as soon as that dual proves the 0/1 matrix of the iterate's
+  heaviest rows and columns optimal, and returns that matrix (see
+  _RecoveryProof).
 * ``paper``: the alternative printed recipe, kept verbatim for comparison:
   X via thresholding at tau of Q + 2X - Z - W - Lambda_W, Y via
   S_{tau*gamma}(Y - tau*Q), unscaled duals, and the Q/dual updates projected
@@ -94,6 +98,11 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolverResult:
+    """What a solve returns.  X and Y are the final iterates, except after a
+    proof (stop "proof"): then X is the proven optimum 1_T1 1_T2', exactly 0
+    and 1, and Y is -X on the nonedges and 0 elsewhere.  The residual fields
+    are always those of the last sweep."""
+
     X: np.ndarray
     Y: np.ndarray
     iterations: int
@@ -110,8 +119,17 @@ class SolverResult:
     # what each sweep evaluated (PLAIN, ACCEPTED or REJECTED), aligned with
     # residual_history
     sweep_kind: np.ndarray = field(repr=False)
-    # stopped by max_iter rather than by tol or paper mode's finite guard
+    # stopped by max_iter rather than by tol, a proof or paper mode's finite
+    # guard
     hit_cap: bool
+    # what ended the solve: "tol", "cap", "diverged" (paper mode's finite
+    # guard), "proof" (the dual proved X optimal, see solve_dks) or
+    # "refuted" (a phase-grid trial's proof that no optimum lies near the
+    # planted matrix)
+    stop: str
+    # the proven bound on every optimum's relative distance to X when the
+    # stop is "proof", NaN otherwise
+    proven_distance: float
     # the l1 weight and the shape, which the objective reads
     _gamma: float = field(repr=False)
     _symmetric: bool = field(repr=False)
@@ -837,83 +855,163 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps, checkpoint=None) -> _Po
 
 
 # the recovery proof's checkpoints: every sweep that moves the point up to
-# sweep _PROOF_START, then every _PROOF_EVERY sweeps.  The non-recovery
+# sweep _PROOF_START, every _PROOF_EVERY sweeps up to _PROOF_SPARSE, then
+# every tenth of the sweep count (see _next_check).  The non-recovery
 # proof, which costs an eigensolve and a sort, is tried from sweep
 # _REFUTE_START every _REFUTE_EVERY sweeps.
-_PROOF_START, _PROOF_EVERY = 30, 5
+_PROOF_START, _PROOF_EVERY, _PROOF_SPARSE = 30, 5, 100
 _REFUTE_START, _REFUTE_EVERY = 200, 100
 
 
-class _PlantedProof:
-    """The checkpoint of a derived solve whose planted set S is known: it
-    proves from the sweep's own dual that every optimum of the relaxation
-    lies within recovery_tol of X* = 1_S 1_S' (stop "proof_recovered", with
-    the bound in distance), or that none does (stop "proof_not_recovered").
-    See README, "Stopping a trial by proof".
+def _next_check(due: int, sparse: float) -> int:
+    """The recovery checkpoint due after the one due at sweep due, with the
+    sparse part of the schedule from sweep sparse on."""
+    if due < _PROOF_START:
+        return due + 1
+    if due < sparse:
+        return due + _PROOF_EVERY
+    return due + -(-due // 10)
+
+
+def _top(sums: np.ndarray, size: int) -> np.ndarray:
+    """The indices of the size largest sums, ties to the lower index, sorted."""
+    return np.sort(np.argsort(-sums, kind="stable")[:size])
+
+
+class _RecoveryProof:
+    """The checkpoint of a derived solve: it proves from the sweep's own
+    dual that every optimum of the relaxation lies within tol of
+    X_T = 1_T1 1_T2' for a candidate T (stop "proof_recovered", with the
+    bound in distance).  Here the candidate is taken from the iterate at
+    each checkpoint: the rows (and columns) with the largest sums of X.
+    The proof is sound for any candidate, so that choice decides only when
+    it fires.  See README, "Stopping a solve by proof".
 
     f(X) = ||X||_* + gamma sum_nonedge |X|.  Any W with ||W||_2 <= 1 and
     any L with |L| <= gamma on the nonedges and 0 elsewhere give
     f(X) >= <W + L, X> for every X.  The sweep holds W = (C - X)/phi_x, from
     its X-step's input C and output X, with ||W||_2 <= 1 up to rounding.
-    The proof projects it onto the conditions of the certificate at X*:
-    W' = u v' + P_u W P_v, with u and v the unit indicators of the planted
-    rows and columns and P_u = I - u u'; and it takes L = gamma on every
-    nonedge, the tight value on the block and the largest allowed outside.
-    Then ||W'||_2 = max(1, ||P_u W P_v||_2) <= max(1, ||W||_2) and
-    <W' + L, X*> = f(X*), so the proof holds as soon as every entry of
+    The proof projects it onto the conditions of the certificate at X_T:
+    W' = u v' + P_u W P_v, with u and v the unit indicators of T's rows and
+    columns and P_u = I - u u'; and it takes L = gamma on every nonedge, the
+    tight value on the block and the largest allowed outside.  Then
+    ||W'||_2 = max(1, ||P_u W P_v||_2) <= max(1, ||W||_2) and
+    <W' + L, X_T> = f(X_T), so the proof holds as soon as every entry of
     M = W' + L on the block lies below every entry outside it.
+
+    What belongs to the solve (the nonedge mask, L and the buffers of the
+    candidate's vectors) is built once; what belongs to the candidate (its
+    block, u, v, the dgemm factors and f(X_T)) only when the candidate
+    changes.
     """
 
-    def __init__(self, nonedge, planted, gamma, sum_target, recovery_tol, symmetric):
-        rows, cols = (np.array(s.members, dtype=np.intp) for s in planted)
-        self.block = np.ix_(rows, cols)
-        self.u, self.v = (s.indicator() / math.sqrt(len(s.members)) for s in planted)
-        # the factors of _project's rank-two update, in Fortran order
-        self.left = np.zeros((self.v.size, 2), order="F")
-        self.right = np.zeros((self.u.size, 2), order="F")
-        self.left[:, 1], self.right[:, 0] = self.v, self.u
+    # where _next_check's schedule turns sparse: at n=14 a checkpoint costs
+    # about half a sweep, and a solve still running at sweep 100 seldom
+    # stops by proof (see README)
+    sparse = _PROOF_SPARSE
+
+    def __init__(self, nonedge, sizes, gamma, sum_target, tol, symmetric):
+        self.sizes = sizes
         self.nonedge = nonedge.astype(float)
-        # the l1 multipliers, and phi_x L for _screen
+        # the l1 multipliers, and phi_x L for _hopeless and _screen
         self.L = gamma * self.nonedge
         self.lift = None
         self.gamma = gamma
         self.symmetric = symmetric
         self.m = sum_target
         self.root_m = math.sqrt(sum_target)
-        self.tol = recovery_tol
-        # f(X*): ||X*||_* = sqrt(m), and X* is 1 on the block's nonedges
-        self.f_star = self.root_m + gamma * float(np.count_nonzero(nonedge[self.block]))
-        # f(X) >= f(X*) - L ||X - X*||_F for feasible X; the l1 part moves by
-        # <1_N - (N/size) 1, X - X*>, as X - X* sums to 0
-        count, size = float(np.count_nonzero(nonedge)), nonedge.size
-        lipschitz = math.sqrt(min(nonedge.shape)) + gamma * math.sqrt(count * (1.0 - count / size))
-        # the drop of f within relative distance recovery_tol of X*
-        self.drop = lipschitz * recovery_tol * self.root_m
-        self.due, self.refute_due = 1, _REFUTE_START
+        self.tol = tol
+        n1, n2 = nonedge.shape
+        self.u, self.v = np.zeros(n1), np.zeros(n2)
+        # the factors of _project's rank-two update, in Fortran order
+        self.left = np.zeros((n2, 2), order="F")
+        self.right = np.zeros((n1, 2), order="F")
+        # the candidate's rows and columns, and both as bytes for _choose
+        self.rows = self.cols = self.key = None
+        self.due = 1
         self.stop: str | None = None
         self.distance = math.nan
 
+    def _aim(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Take T = rows x cols as the candidate: its block as the flat
+        indices cells, in row-major order (take and a flat store cost a
+        third of the block's fancy indexing at n=250), u and v, the dgemm
+        factors and f_star = f(X_T)."""
+        self.rows, self.cols = rows, cols
+        self.key = rows.tobytes() + cols.tobytes()
+        self.cells = (rows[:, None] * self.v.size + cols).ravel()
+        for unit, members in ((self.u, rows), (self.v, cols)):
+            unit.fill(0.0)
+            unit[members] = 1.0 / math.sqrt(members.size)
+        self.left[:, 1], self.right[:, 0] = self.v, self.u
+        # ||X_T||_* = sqrt(m), and X_T is 1 on the block's nonedges
+        self.f_star = self.root_m + self.gamma * float(self.nonedge.take(self.cells).sum())
+
+    @property
+    def block(self) -> tuple[np.ndarray, np.ndarray]:
+        """T's block as an index of a matrix."""
+        return np.ix_(self.rows, self.cols)
+
+    def _choose(self, X: np.ndarray) -> None:
+        """Aim at the rows, and the columns, of X with the largest sums."""
+        k1, k2 = self.sizes
+        rows = _top(X.sum(axis=1), k1)
+        cols = rows if self.symmetric else _top(X.sum(axis=0), k2)
+        if rows.tobytes() + cols.tobytes() != self.key:
+            self._aim(rows, cols)
+
+    def optimum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The proven optimum: X_T, and Y = -X_T on the nonedges, 0
+        elsewhere."""
+        X, Y = np.zeros(self.nonedge.shape), np.zeros(self.nonedge.shape)
+        X.ravel()[self.cells] = 1.0
+        Y.ravel()[self.cells] = 0.0 - self.nonedge.take(self.cells)
+        return X, Y
+
     def __call__(self, sweep: _DerivedSweep, p: _Point, count: int) -> bool:
-        """True once a proof decides the solve at the due checkpoint."""
+        """True once a proof decides the solve at a due checkpoint."""
         if count < self.due:
             return False
         while self.due <= count:
-            self.due += 1 if self.due < _PROOF_START else _PROOF_EVERY
-        if self._screen(sweep, p) < self.tol:
-            # the proof is about to fire: build the exact dual and bound
-            # ||W'||_2
-            M, W = self._dual(sweep, p)
-            distance = self._distance(*self._extremes(M), self._norm_bound(W))
-            if distance < self.tol:
-                self.stop, self.distance = "proof_recovered", distance
-                return True
-        if count >= self.refute_due:
-            while self.refute_due <= count:
-                self.refute_due += _REFUTE_EVERY
-            if self._refutes(p.X, self._dual(sweep, p)[0]):
-                self.stop = "proof_not_recovered"
-                return True
+            self.due = _next_check(self.due, self.sparse)
+        self._choose(p.X)
+        return self._recovers(sweep, p)
+
+    def _recovers(self, sweep: _DerivedSweep, p: _Point) -> bool:
+        """The recovery test: True, with stop and distance set, when it
+        proves every optimum within tol of X_T."""
+        if self.lift is None:
+            self.lift = sweep.phi_x * self.L
+        if self._hopeless(sweep, p) or not self._screen(sweep, p) < self.tol:
+            return False
+        # the proof is about to fire: build the exact dual and bound ||W'||_2
+        M, W = self._dual(sweep, p)
+        distance = self._distance(*self._extremes(M), self._norm_bound(W))
+        if distance < self.tol:
+            self.stop, self.distance = "proof_recovered", distance
+            return True
         return False
+
+    def _hopeless(self, sweep: _DerivedSweep, p: _Point) -> bool:
+        """True when the screen cannot pass, read off the part of its matrix
+        G / phi_x + L that the projection leaves alone: the entries in no
+        row and no column of T, where it is (C - X) / phi_x + L.
+
+        Those entries lie outside the block, and the screen passes only when
+        every entry outside the block lies at least 2 rho above the block's
+        largest, which is at least the block's mean.  A passing distance
+        below tol leaves a gap below tol^2 m rho, and _distance charges the
+        block sum's rounding against it, so that mean is above
+        f(X_T) / m - tol^2 rho.  For tol < 1 an entry there at or below
+        f(X_T) / m therefore leaves the screen nothing to prove; a larger
+        tol can only see a proof delayed, never an unsound one.  This costs
+        five passes, against the screen's nine, and on criterion 3's n=14
+        solves it ends 84% of the checkpoints (none whose proof fired)."""
+        E = np.subtract(sweep.C, p.X, out=sweep.Q)
+        E += self.lift
+        E[self.rows] = math.inf
+        E[:, self.cols] = math.inf
+        return not float(E.min()) * (1.0 / sweep.phi_x) > self.f_star / self.m
 
     def _project(self, sweep: _DerivedSweep, p: _Point) -> np.ndarray:
         """G in the sweep's Q, which is free until the next sweep rewrites
@@ -945,8 +1043,6 @@ class _PlantedProof:
         is no smaller than M's, its smallest other entry no larger, and its
         block sum the same: up to rounding, the screen passes only where
         the exact test would."""
-        if self.lift is None:
-            self.lift = sweep.phi_x * self.L
         G = self._project(sweep, p)
         G += self.lift
         scale = 1.0 / sweep.phi_x
@@ -966,9 +1062,11 @@ class _PlantedProof:
 
     def _extremes(self, M: np.ndarray) -> tuple[float, float, float, float]:
         """The largest entry of M on the block, the smallest outside it, and
-        the block's sum and absolute sum.  Writes +inf over M's block."""
-        block = M[self.block]
-        M[self.block] = math.inf
+        the block's sum and absolute sum.  Writes +inf over M's block, for M
+        C-contiguous (one of the sweep's buffers), so that ravel is a
+        view."""
+        block = M.take(self.cells)
+        M.ravel()[self.cells] = math.inf
         return float(block.max()), float(M.min()), float(block.sum()), float(np.abs(block).sum())
 
     def _norm_bound(self, W: np.ndarray) -> float:
@@ -979,20 +1077,20 @@ class _PlantedProof:
         return max(1.0, float(_singular_values(W, self.symmetric).max()) + err)
 
     def _distance(self, top, low, lb, mass, scale) -> float:
-        """An upper bound of ||X_o - X*||_F / ||X*||_F over the optima X_o,
-        from the computed M = W + L with ||W||_2 <= scale, or inf when the
-        block's entries of M are not all below the others.
+        """An upper bound of ||X_o - X_T||_F / ||X_T||_F over the optima
+        X_o, from the computed M = W + L with ||W||_2 <= scale, or inf when
+        the block's entries of M are not all below the others.
 
         The proof is for M' = W/scale + L, whose entries lie within
         eta = (scale - 1) + eps (scale + gamma) of the computed M's (the
-        division and the rounded sum).  If max over S of M' is below its min
-        outside S, by 2 rho > 0, then for every feasible X, as X sums to m,
-        <M', X> - sum_S M' = sum (M' - c) (X - X*) >= rho ||X - X*||_1 with
-        c the midpoint.  With f(X_o) <= f(X*) and f >= <M', .>,
-        ||X_o - X*||_F^2 <= ||X_o - X*||_1 <= (f(X*) - sum_S M') / rho.
-        sum_S M' is bounded below by the computed sum, less m eta and the
-        summation error 2 m eps sum_S |M|; the scalars' own rounding is
-        covered by 8 eps (f(X*) + |lb|) and the factor (1 + 8 eps)."""
+        division and the rounded sum).  If max over T of M' is below its min
+        outside T, by 2 rho > 0, then for every feasible X, as X sums to m,
+        <M', X> - sum_T M' = sum (M' - c) (X - X_T) >= rho ||X - X_T||_1
+        with c the midpoint.  With f(X_o) <= f(X_T) and f >= <M', .>,
+        ||X_o - X_T||_F^2 <= ||X_o - X_T||_1 <= (f(X_T) - sum_T M') / rho.
+        sum_T M' is bounded below by the computed sum, less m eta and the
+        summation error 2 m eps sum_T |M|; the scalars' own rounding is
+        covered by 8 eps (f(X_T) + |lb|) and the factor (1 + 8 eps)."""
         eta = (scale - 1.0) + _EPS * (scale + self.gamma)
         rho = 0.5 * (low - top) - eta
         if not rho > 0.0:
@@ -1000,6 +1098,48 @@ class _PlantedProof:
         lb_low = lb - self.m * eta - 2.0 * self.m * _EPS * mass
         gap = self.f_star - lb_low + 8.0 * _EPS * (self.f_star + abs(lb))
         return (1.0 + 8.0 * _EPS) * math.sqrt(max(gap, 0.0) / rho) / self.root_m
+
+
+class _PlantedProof(_RecoveryProof):
+    """The checkpoint of a phase-grid trial, whose planted set S is known:
+    _RecoveryProof with S as its fixed candidate, so that X_T is
+    X* = 1_S 1_S', and the non-recovery proof beside it, which shows that
+    no optimum lies within recovery_tol of X* (stop "proof_not_recovered").
+    See README, "Stopping a trial by proof"."""
+
+    # every _PROOF_EVERY sweeps from _PROOF_START on: at the figure column's
+    # n=250 a checkpoint costs a twentieth of a sweep, and the sparse
+    # schedule stopped 2 of its k=25 trials by tol, 34 sweeps later
+    sparse = math.inf
+
+    def __init__(self, nonedge, planted, gamma, sum_target, recovery_tol, symmetric):
+        rows, cols = (np.array(s.members, dtype=np.intp) for s in planted)
+        super().__init__(nonedge, (rows.size, cols.size), gamma, sum_target, recovery_tol, symmetric)
+        self._aim(rows, cols)
+        # f(X) >= f(X*) - L ||X - X*||_F for feasible X; the l1 part moves by
+        # <1_N - (N/size) 1, X - X*>, as X - X* sums to 0
+        count, size = float(np.count_nonzero(nonedge)), nonedge.size
+        lipschitz = math.sqrt(min(nonedge.shape)) + gamma * math.sqrt(count * (1.0 - count / size))
+        # the drop of f within relative distance recovery_tol of X*
+        self.drop = lipschitz * recovery_tol * self.root_m
+        self.refute_due = _REFUTE_START
+
+    def _choose(self, X: np.ndarray) -> None:
+        """The candidate stays the planted set."""
+
+    def __call__(self, sweep: _DerivedSweep, p: _Point, count: int) -> bool:
+        """True once the recovery proof, or the non-recovery proof on its
+        own schedule, decides the solve."""
+        if super().__call__(sweep, p, count):
+            return True
+        if count < self.refute_due:
+            return False
+        while self.refute_due <= count:
+            self.refute_due += _REFUTE_EVERY
+        if self._refutes(p.X, self._dual(sweep, p)[0]):
+            self.stop = "proof_not_recovered"
+            return True
+        return False
 
     def _refutes(self, X: np.ndarray, M: np.ndarray) -> bool:
         """True when f(P) < f(X*) - drop, for P the projection of X onto the
@@ -1059,9 +1199,10 @@ def _admm(
     gamma: float,
     cfg: SolverConfig,
     symmetric: bool,
-    checkpoint=None,
+    checkpoint: _RecoveryProof | None = None,
 ) -> SolverResult:
-    """The solve; checkpoint is _derived_loop's, and paper mode ignores it."""
+    """The solve; checkpoint is _derived_loop's, and paper mode ignores it.
+    Without one, a derived solve stops by tol or at the cap alone."""
     shrink = _svt_symmetric if symmetric else _svt_gram
     sweeps = _Sweeps(cfg)
     # one BLAS thread: a threaded solve measured ~3x slower at n=250 and a
@@ -1077,18 +1218,27 @@ def _admm(
                 sweep = _DerivedSweep(nonedge, sum_target, gamma, cfg.tau, shrink)
                 p = _derived_loop(sweep, sweeps, checkpoint)
                 X, Y = p.X.copy(), p.U - p.cu
+    stop = "tol" if sweeps.converged else "cap" if len(sweeps.rows) == cfg.max_iter else "diverged"
+    distance = math.nan
+    if sweeps.proved:
+        if checkpoint.stop == "proof_recovered":
+            (X, Y), stop, distance = checkpoint.optimum(), "proof", checkpoint.distance
+        else:
+            stop = "refuted"
     return SolverResult(
         X=X,
         Y=Y,
         iterations=len(sweeps.rows),
-        converged=sweeps.converged,
+        converged=stop in ("tol", "proof"),
         primal_residual=float(sweeps.rp),
         dual_residual=float(sweeps.rd),
         residual_history=np.array(sweeps.rows),
         svt_rank=np.array(sweeps.ranks, dtype=int),
         blas_threads=blas_threads,
         sweep_kind=np.array(sweeps.kinds, dtype=np.int8),
-        hit_cap=not sweeps.converged and len(sweeps.rows) == cfg.max_iter,
+        hit_cap=stop == "cap",
+        stop=stop,
+        proven_distance=distance,
         _gamma=gamma,
         _symmetric=symmetric,
     )
@@ -1138,38 +1288,47 @@ def _paper_loop(nonedge, sum_target, gamma, tau, shrink, sweeps: _Sweeps):
 
 
 def solve_dks(g: Graph, k: int, cfg: SolverConfig | None = None) -> SolverResult:
-    """Run ADMM on the densest k-subgraph relaxation for graph g."""
+    """Run ADMM on the densest k-subgraph relaxation for graph g.  A derived
+    solve stops as soon as its own dual proves that every optimum lies
+    within relative distance cfg.tol of 1_T 1_T', for T the k rows of the
+    iterate with the largest sums, and returns that matrix (stop "proof");
+    see README, "Stopping a solve by proof"."""
     return _solve_dks(g, k, cfg)[0]
 
 
 def _solve_dks(
     g: Graph, k: int, cfg: SolverConfig | None = None,
     planted: NodeSubset | None = None, recovery_tol: float = 1e-3,
-) -> tuple[SolverResult, _PlantedProof | None]:
-    """solve_dks, and with a planted set given, the _PlantedProof that
-    checks the derived solve and stops it once it proves where the optima
-    lie against recovery_tol (its stop is None when no proof fired)."""
+) -> tuple[SolverResult, _RecoveryProof]:
+    """solve_dks and its checkpoint.  With a planted set given, the
+    checkpoint is the _PlantedProof that stops the derived solve once it
+    proves where the optima lie against recovery_tol (its stop is None when
+    no proof fired)."""
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma(k)
     nonedge = complement_edges(g)
     target = float(k) ** 2
-    proof = None
-    if planted is not None:
+    if planted is None:
+        proof = _RecoveryProof(nonedge, (k, k), gamma, target, cfg.tol, True)
+    else:
         proof = _PlantedProof(nonedge, (planted, planted), gamma, target, recovery_tol, True)
     return _admm(nonedge, target, gamma, cfg, symmetric=True, checkpoint=proof), proof
 
 
 def solve_dkb(g: BipartiteGraph, k1: int, k2: int, cfg: SolverConfig | None = None) -> SolverResult:
-    """Run ADMM on the densest (k1, k2)-subgraph relaxation for bipartite g."""
+    """Run ADMM on the densest (k1, k2)-subgraph relaxation for bipartite g.
+    A derived solve stops by proof as solve_dks does, with T the k1 rows
+    and the k2 columns of the iterate with the largest sums."""
     if not (1 <= k1 <= g.n1 and 1 <= k2 <= g.n2):
         raise ValueError(f"need 1 <= k1 <= n1 and 1 <= k2 <= n2, got {k1}, {k2}")
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else default_gamma_bipartite(k1, k2)
-    return _admm(
-        bipartite_complement_edges(g), float(k1) * float(k2), gamma, cfg, symmetric=False
-    )
+    nonedge = bipartite_complement_edges(g)
+    target = float(k1) * float(k2)
+    proof = _RecoveryProof(nonedge, (k1, k2), gamma, target, cfg.tol, False)
+    return _admm(nonedge, target, gamma, cfg, symmetric=False, checkpoint=proof)
 
 
 def _target_matrix(planted) -> np.ndarray:

@@ -126,6 +126,29 @@ class TestSolve:
             for name, controls in solver._blas_controls().items()
         }
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solve_stops_by_proof_at_the_sidecar_set(self, tmp_path, seed):
+        # the phase-pool shape: the solver's own dual proves the planted set
+        # optimal within a few sweeps, and the solve returns its matrix
+        out = generate_dks(tmp_path, n=60, k=24, p=0.05, q=0.25, seed=seed)
+        result_file = tmp_path / "result.json"
+        assert run(["solve", "--graph", out, "--k", 24, "--out", result_file]) == 0
+        payload = json.loads(result_file.read_text(encoding="utf-8"))
+        truth = io.read_ground_truth(truth_path(out))
+        assert payload["stop"] == "proof"
+        assert 0.0 < payload["proven_distance"] < 1e-4
+        assert (payload["converged"], payload["hit_cap"]) == (True, False)
+        assert payload["iterations"] < 30
+        assert payload["recovered_subset"] == list(truth.subset(read_graph(out)).members)
+        assert payload["X_relative_error_vs_ground_truth"] == 0.0
+
+    def test_solve_without_proof_writes_null_distance(self, tmp_path):
+        out = generate_dks(tmp_path, n=30, k=12, p=0.3, q=0.4, seed=1)
+        result_file = tmp_path / "result.json"
+        assert run(["solve", "--graph", out, "--k", 12, "--max-iter", 5, "--out", result_file]) == 0
+        payload = json.loads(result_file.read_text(encoding="utf-8"))
+        assert (payload["stop"], payload["proven_distance"]) == ("cap", None)
+
     def test_solve_bipartite(self, tmp_path):
         graph_file = tmp_path / "b.txt"
         run(
@@ -166,7 +189,8 @@ class TestSolve:
         assert sorted(payload) == [
             "X_relative_error_vs_ground_truth", "anderson_accepted", "anderson_rejected",
             "blas_threads", "converged", "dual_residual", "hit_cap",
-            "iterations", "objective", "primal_residual", "recovered_subset",
+            "iterations", "objective", "primal_residual", "proven_distance",
+            "recovered_subset", "stop",
         ]
         assert payload["recovered_subset"] == {"u": u, "v": v}
 
@@ -690,6 +714,7 @@ class TestBench:
         assert payload["converged"] is True
         assert payload["hit_cap"] is False
         assert payload["anderson_accepted"] == payload["anderson_rejected"] == 0
+        assert payload["stop"] == "proof" and payload["proven_distance"] < 1e-4
         assert payload["wall_time_s"] > 0
         assert payload["ms_per_iteration"] > 0
         expected = {

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 import dksub
 from dksub.experiments import PhaseGridConfig, run_trial
-from dksub.graphs import NodeSubset, complement_edges
-from dksub.models import PlantedDksParams, sample_dks
+from dksub.graphs import Graph, NodeSubset, bipartite_complement_edges, complement_edges
+from dksub.models import PlantedDkbParams, PlantedDksParams, child_seed, sample_dkb, sample_dks
 from dksub.solver import (
     SolverConfig,
     _PlantedProof,
@@ -32,6 +32,7 @@ from dksub.solver import (
     _solve_dks,
     relative_error,
     round_to_subset,
+    solve_dkb,
     solve_dks,
     svt,
 )
@@ -341,3 +342,205 @@ def test_run_trial_never_computes_the_objective(monkeypatch):
     record = run_trial(cfg, 0, 0, 0)
     assert record.error is None and record.recovered
     assert calls == []
+
+
+# The proof that stops every derived solve (solver._RecoveryProof): its
+# candidate T is the k rows (and columns) of the iterate with the largest
+# sums, and a solve it stops returns X_T.
+
+
+def plain(g, k, cfg=None):
+    """The same derived solve with no checkpoint: it stops by tol or at the
+    cap alone, as every solve did before the proof."""
+    cfg = cfg or SolverConfig()
+    return dksub.solver._admm(complement_edges(g), float(k) ** 2, 6.0 / k, cfg, True)
+
+
+def assert_proven_optimum(result, nonedge, rows, cols=None):
+    """The result contract of a proof stop: X = X_T exactly, Y = -X_T on
+    the nonedges and 0 elsewhere, and the last sweep's residuals."""
+    cols = rows if cols is None else cols
+    X_T = np.zeros(nonedge.shape)
+    X_T[np.ix_(rows, cols)] = 1.0
+    assert result.stop == "proof"
+    assert np.array_equal(result.X, X_T)
+    assert np.array_equal(result.Y, np.where(nonedge, -X_T, 0.0))
+    assert (result.converged, result.hit_cap) == (True, False)
+    assert 0.0 <= result.proven_distance < SolverConfig().tol
+    assert (result.primal_residual, result.dual_residual) == tuple(result.residual_history[-1])
+
+
+def assert_bitwise(result, ref):
+    assert result.stop == ref.stop and math.isnan(result.proven_distance)
+    assert result.iterations == ref.iterations
+    for name in ("X", "Y", "residual_history", "svt_rank", "sweep_kind"):
+        assert np.array_equal(getattr(result, name), getattr(ref, name)), name
+
+
+def criterion_3_cases():
+    rng = dksub.stream_rng(777)
+    cases = []
+    for trial in range(100):
+        k = 3 + trial % 5
+        p, q = float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.5))
+        cases.append(PlantedDksParams(n=14, k=k, p=p, q=q, seed=10_000 + trial))
+    return cases
+
+
+def criterion_5_cases():
+    return [
+        PlantedDksParams(n=n, k=k, p=p, q=q, seed=seed)
+        for n, k in [(16, 8), (18, 9), (20, 10)]
+        for p, q in [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.05, 0.05)]
+        for seed in range(3)
+    ]
+
+
+def test_every_proof_stop_is_the_unique_densest_subgraph():
+    # on criterion 3's 100 instances and criterion 5's 36, every solve the
+    # proof stops returns the oracle's unique densest k-subgraph, and every
+    # criterion-3 solve it does not stop is the plain solve bit for bit
+    fired = 0
+    for params in criterion_3_cases() + criterion_5_cases():
+        g = sample_dks(params).graph
+        result = solve_dks(g, params.k)
+        if result.stop == "proof":
+            fired += 1
+            rows = np.flatnonzero(result.X.any(axis=1))
+            assert_proven_optimum(result, complement_edges(g), rows)
+            oracle = dksub.brute_force_dks(g, params.k)
+            assert oracle.unique, params
+            assert oracle.optimal_subsets[0].members == tuple(rows), params
+            assert round_to_subset(result.X, params.k).members == tuple(rows)
+        elif params.n == 14:
+            assert_bitwise(result, plain(g, params.k))
+    assert fired >= 45
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_wrong_candidate_never_fires(seed):
+    # the phase-pool instances, whose planted set the proof fires on within
+    # 30 sweeps; with one planted node swapped for another node, or with
+    # the planted set shifted, it never fires (the non-recovery proof may)
+    inst = sample_dks(PlantedDksParams(n=60, k=24, p=0.05, q=0.25, seed=seed))
+    members = list(inst.planted.members)
+    outside = sorted(set(range(60)) - set(members))
+    cfg = SolverConfig(max_iter=300)
+    _, proof = _solve_dks(inst.graph, 24, cfg, inst.planted, TOL)
+    assert proof.stop == "proof_recovered"
+    for wrong in (members[:-1] + outside[:1], [(v + 1) % 60 for v in members]):
+        result, proof = _solve_dks(inst.graph, 24, cfg, NodeSubset(tuple(sorted(wrong)), 60), TOL)
+        assert proof.stop != "proof_recovered" and result.stop != "proof"
+        assert math.isnan(proof.distance)
+
+
+def checks(sparse, last=250):
+    due, seen = 1, []
+    while due < last:
+        seen.append(due)
+        due = dksub.solver._next_check(due, sparse)
+    return seen
+
+
+def test_checkpoint_schedule():
+    # every sweep up to 30, every 5 up to 100, then every tenth of the
+    # count; a phase-grid trial's keeps every 5
+    inst = sample_dks(PlantedDksParams(n=14, k=4, p=0.1, q=0.2, seed=1))
+    _, proof = _solve_dks(inst.graph, 4)
+    _, trial = _solve_dks(inst.graph, 4, None, inst.planted, TOL)
+    assert checks(proof.sparse) == [
+        *range(1, 31), *range(35, 101, 5), 110, 121, 134, 148, 163, 180, 198, 218, 240,
+    ]
+    assert checks(trial.sparse) == [*range(1, 31), *range(35, 250, 5)]
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [
+        (Graph.complete(8), 1),
+        (Graph.complete(8), 3),
+        (Graph(8, np.zeros((8, 8), dtype=bool)), 1),
+        (Graph(8, np.zeros((8, 8), dtype=bool)), 3),
+        (sample_dks(PlantedDksParams(n=12, k=1, p=0.1, q=0.3, seed=1)).graph, 1),
+    ],
+    ids=["complete-k1", "complete-k3", "empty-k1", "empty-k3", "planted-k1"],
+)
+def test_ties_never_fire(g, k):
+    # these graphs have many densest k-subgraphs (the planted one-node set
+    # is no denser than any other node), so no proof may fire; the solve is
+    # the plain one bit for bit
+    result = solve_dks(g, k)
+    assert result.stop == "tol"
+    assert_bitwise(result, plain(g, k))
+
+
+@pytest.mark.parametrize(
+    "g", [Graph.complete(8), Graph(8, np.zeros((8, 8), dtype=bool)),
+          sample_dks(PlantedDksParams(n=12, k=12, p=0.1, q=0.3, seed=1)).graph],
+    ids=["complete", "empty", "planted"],
+)
+def test_k_equal_to_n_is_proven_at_the_first_sweep(g):
+    # the all-ones matrix is the only feasible point
+    result = solve_dks(g, g.n)
+    assert result.iterations == 1
+    assert result.proven_distance == 0.0
+    assert_proven_optimum(result, complement_edges(g), np.arange(g.n))
+
+
+@pytest.mark.parametrize("p,q,seed", [(0.0, 0.0, 0), (0.05, 0.1, 0), (0.05, 0.1, 1)])
+def test_bipartite_with_every_row_planted(p, q, seed):
+    # k1 = n1: T's rows are all rows, and a proof stop returns the oracle's
+    # unique densest (k1, k2)-subgraph; a solve it does not stop is the
+    # plain one bit for bit
+    inst = sample_dkb(PlantedDkbParams(n1=6, n2=20, k1=6, k2=8, p=p, q=q, seed=seed))
+    nonedge = bipartite_complement_edges(inst.graph)
+    result = solve_dkb(inst.graph, 6, 8)
+    if result.stop == "proof":
+        cols = np.flatnonzero(result.X.any(axis=0))
+        assert_proven_optimum(result, nonedge, np.arange(6), cols)
+        oracle = dksub.brute_force_dkb(inst.graph, 6, 8)
+        assert oracle.unique and oracle.optimal_subsets[0][1].members == tuple(cols)
+    else:
+        ref = dksub.solver._admm(nonedge, 48.0, 6.0 / math.sqrt(48), SolverConfig(), False)
+        assert_bitwise(result, ref)
+    # the clean instance and seed 1 fire, seed 0 converges by tol
+    assert result.stop == ("tol" if (q, seed) == (0.1, 0) else "proof")
+
+
+def test_capped_k10_solve_is_the_plain_one():
+    # the figure column's k=10 trial 0 (master seed 2024), whose proof never
+    # fires: sweeps 1-300 cross every part of the schedule and Anderson's
+    # start, and the solve is the plain one bit for bit
+    inst = sample_dks(PlantedDksParams(n=250, k=10, p=0.05, q=0.25, seed=child_seed(2024, 0, 0, 0)))
+    cfg = SolverConfig(max_iter=300)
+    result = solve_dks(inst.graph, 10, cfg)
+    assert (result.stop, result.hit_cap) == ("cap", True)
+    assert_bitwise(result, plain(inst.graph, 10, cfg))
+
+
+def test_the_gate_never_ends_a_passing_screen(monkeypatch):
+    # at every checkpoint of these solves, a screen that passes was not
+    # judged hopeless; the gate ends most of the others
+    gated, passed = [], 0
+    original = dksub.solver._RecoveryProof._recovers
+
+    def spy(self, sweep, p):
+        nonlocal passed
+        if self.lift is None:
+            self.lift = sweep.phi_x * self.L
+        hopeless = self._hopeless(sweep, p)
+        if self._screen(sweep, p) < self.tol:
+            passed += 1
+            assert not hopeless
+        gated.append(hopeless)
+        return original(self, sweep, p)
+
+    monkeypatch.setattr(dksub.solver._RecoveryProof, "_recovers", spy)
+    for params in criterion_3_cases()[:30] + criterion_5_cases():
+        solve_dks(sample_dks(params).graph, params.k)
+    for seed in range(3):
+        inst = sample_dks(PlantedDksParams(n=60, k=24, p=0.05, q=0.25, seed=seed))
+        solve_dks(inst.graph, 24)
+        _solve_dks(inst.graph, 24, None, inst.planted, TOL)
+    assert passed >= 40
+    assert sum(gated) >= len(gated) // 2

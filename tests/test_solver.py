@@ -75,7 +75,10 @@ class TestSolveDks:
         inst = sample_dks(PlantedDksParams(n=40, k=18, p=0.0, q=0.1, seed=8))
         result = solve_dks(inst.graph, 18)
         assert result.converged
-        assert max(result.primal_residual, result.dual_residual) < 1e-4
+        if result.stop == "tol":
+            assert max(result.primal_residual, result.dual_residual) < 1e-4
+        else:
+            assert result.stop == "proof" and result.proven_distance < 1e-4
 
     def test_invalid_k(self):
         g = Graph.complete(5)
@@ -197,11 +200,12 @@ class TestSolveDks:
 
     def test_rank_one_steps_follow_the_pipeline(self, monkeypatch, lone_pair_outcomes):
         # the same solve with every SVT from the reduction pipeline
+        # with no checkpoint, so that no proof stops it early
         inst = sample_dks(PlantedDksParams(n=250, k=100, p=0.05, q=0.25, seed=4))
-        fast = solve_dks(inst.graph, 100)
+        fast = plain_solve(complement_edges(inst.graph), 100, 100, True)
         assert lone_pair_outcomes.count(True) >= fast.iterations // 3
         pipeline_only(monkeypatch, "_svt_symmetric")
-        ref = solve_dks(inst.graph, 100)
+        ref = plain_solve(complement_edges(inst.graph), 100, 100, True)
         assert fast.converged and ref.converged
         assert fast.iterations == ref.iterations
         assert np.array_equal(fast.svt_rank, ref.svt_rank)
@@ -258,6 +262,13 @@ class TestSolveDks:
         g, k = criterion_3_trial_0()
         result = solve_dks(g, k, SolverConfig(max_iter=np.int64(10)))
         assert (result.iterations, result.hit_cap) == (10, True)
+
+
+def plain_solve(nonedge, k1, k2, symmetric):
+    """The derived solve at the default gamma 6/sqrt(k1 k2) with no
+    checkpoint: it stops by tol or at the cap alone."""
+    gamma = 6.0 / math.sqrt(k1 * k2)
+    return solver._admm(nonedge, float(k1) * float(k2), gamma, SolverConfig(), symmetric)
 
 
 def pipeline_only(monkeypatch, name):
@@ -524,12 +535,13 @@ class TestSolveDkb:
 
     def test_rank_one_steps_follow_the_gram_pipeline(self, monkeypatch, lone_pair_outcomes):
         # the criterion-8 instance, with every SVT from the Gram pipeline
+        # with no checkpoint, so that no proof stops it early
         inst = sample_dkb(PlantedDkbParams(n1=200, n2=200, k1=60, k2=60, p=0.05, q=0.25, seed=0))
-        cfg = SolverConfig(gamma=6 / 60)
-        fast = solve_dkb(inst.graph, 60, 60, cfg)
+        nonedge = bipartite_complement_edges(inst.graph)
+        fast = plain_solve(nonedge, 60, 60, False)
         assert lone_pair_outcomes.count(True) >= 10
         pipeline_only(monkeypatch, "_svt_gram")
-        ref = solve_dkb(inst.graph, 60, 60, cfg)
+        ref = plain_solve(nonedge, 60, 60, False)
         assert fast.converged and ref.converged
         assert fast.iterations == ref.iterations
         assert np.array_equal(fast.svt_rank, ref.svt_rank)
