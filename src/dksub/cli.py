@@ -19,7 +19,7 @@ import numpy as np
 
 from . import experiments, io, models, oracle, solver
 from .certificate import build_multipliers, estimate_pq, verify
-from .graphs import Graph
+from .graphs import Graph, NodeSubset
 from .solver import NumericalError, SolverConfig
 
 
@@ -126,8 +126,22 @@ def _members(subsets) -> list | dict:
 def _solve_report(result: solver.SolverResult) -> dict:
     """The SolverResult fields that solve and bench both report;
     proven_distance, NaN when no proof fired, is written as null."""
-    fields = ("converged", "iterations", "hit_cap", "stop", "proven_distance", "blas_threads")
+    fields = ("converged", "iterations", "hit_cap", "stop", "proven_distance", "tau",
+              "blas_threads")
     return {name: getattr(result, name) for name in fields} | result.anderson_counts()
+
+
+def _rounded(result: solver.SolverResult, k):
+    """The answer's subset: T itself when a proof returned X = 1_T1 1_T2'
+    (its support), else round_to_subset, whose SVD a proof makes needless."""
+    if result.stop != "proof":
+        return solver.round_to_subset(result.X, k)
+    X = result.X
+    subsets = tuple(
+        NodeSubset(tuple(np.flatnonzero(support)), support.size)
+        for support in (X.any(axis=1), X.any(axis=0))
+    )
+    return subsets if isinstance(k, tuple) else subsets[0]
 
 
 def _cmd_solve(args) -> int:
@@ -135,7 +149,7 @@ def _cmd_solve(args) -> int:
     g, k = _read_problem(args)
     pair = isinstance(k, tuple)
     result = solver.solve_dkb(g, *k, cfg) if pair else solver.solve_dks(g, k, cfg)
-    payload = {"recovered_subset": _members(solver.round_to_subset(result.X, k))}
+    payload = {"recovered_subset": _members(_rounded(result, k))}
     truth_file = _find_truth(args)
     if truth_file:
         truth = io.read_ground_truth(truth_file)
@@ -272,7 +286,9 @@ def _cmd_bench(args) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     # No defaults here: a flag left out keeps SolverConfig's default.
     p.add_argument("--gamma", type=float, help="l1 weight (default 6/k)")
-    p.add_argument("--tau", type=float)
+    p.add_argument("--tau", type=float,
+                   help=f"starting ADMM penalty (default {SolverConfig.tau}); "
+                        "derived mode rebalances it")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--mode", choices=("paper", "derived"))

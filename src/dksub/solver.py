@@ -23,8 +23,11 @@ around admits two readings that do not agree:
   thresholding at gamma/tau, and the duals are kept in scaled form
   (U = Lambda/tau).  The projection onto the sum constraint only shifts, so
   W is X plus a constant and U_W is a constant: the sweep holds both as
-  scalars (see _DerivedSweep).  A solve still unconverged after 100 sweeps
-  continues under safeguarded Anderson acceleration (see _derived_loop).
+  scalars (see _DerivedSweep).  Every 10th of the first 99 sweeps
+  rebalances tau against the residuals (see _DerivedSweep.balance), so
+  cfg.tau is the starting penalty.  A solve still unconverged after 100
+  sweeps continues under safeguarded Anderson acceleration (see
+  _derived_loop).
   A checkpoint between sweeps reads the sweep's own dual, and the solve
   stops as soon as that dual proves the 0/1 matrix of the iterate's
   heaviest rows and columns optimal, and returns that matrix (see
@@ -130,6 +133,9 @@ class SolverResult:
     # the proven bound on every optimum's relative distance to X when the
     # stop is "proof", NaN otherwise
     proven_distance: float
+    # the penalty in effect at the last sweep: cfg.tau, unless residual
+    # balancing moved it (derived mode only, see _derived_loop)
+    tau: float
     # the l1 weight and the shape, which the objective reads
     _gamma: float = field(repr=False)
     _symmetric: bool = field(repr=False)
@@ -565,6 +571,14 @@ _ANDERSON_MEMORY = 7
 # Tikhonov weight of the mixing least squares, relative to the trace of its
 # Gram matrix; the Gram matrix is summed in float32
 _ANDERSON_REG = 1e-6
+# residual balancing of tau: every _BALANCE_EVERY sweeps before
+# _ANDERSON_START, by a factor of two when one residual exceeds
+# _BALANCE_MU times the other (see _DerivedSweep.balance).  Criterion 3's
+# 100 n=14 solves fell from 33,853 sweeps at fixed tau to 21,426.  mu = 1.2
+# and 2 gave 20,839 and 20,446; checks every 5 sweeps gave 18,803 but took
+# the benchmark's phase-pool trials from 330-381 to 352-410 sweeps
+_BALANCE_EVERY = 10
+_BALANCE_MU = 1.5
 
 
 class _Sweeps:
@@ -641,9 +655,8 @@ class _DerivedSweep:
         self.keep = 1.0 - nonedge
         self.sum_target = sum_target
         self.shrink = shrink
-        self.tau = tau
-        self.phi_x = 1.0 / (3.0 * tau)
-        self.phi_y = gamma / tau
+        self.gamma = gamma
+        self._set_tau(tau)
         # Q, two temporaries and the next cu and cv, reused by every sweep
         self.Q, self.C, self.T, self.cu, self.cv = (np.empty(self.shape) for _ in range(5))
         # the shrink's warm vector, rebound to what each shrink returns
@@ -658,11 +671,44 @@ class _DerivedSweep:
         p.V[:] = p.cv[:] = p.X
         return p
 
+    def _set_tau(self, tau: float) -> None:
+        self.tau = tau
+        self.phi_x = 1.0 / (3.0 * tau)
+        self.phi_y = self.gamma / tau
+
     def load(self, p: _Point) -> None:
         """Set cu, cv and ws of p from its z."""
         np.clip(p.U, -self.phi_y, self.phi_y, out=p.cu)
         clamp_box(p.V, out=p.cv)
         p.ws = self._shift(p.X)
+
+    def balance(self, p: _Point, rp: float, rd: float) -> None:
+        """Residual balancing (Boyd et al. 2011, section 3.4.1): double tau
+        when rp > _BALANCE_MU rd, halve it when rd > _BALANCE_MU rp, and
+        rescale p's scaled multipliers by rho = tau_old / tau_new, so that
+        X, Y, Z and the unscaled multipliers stay where they were.
+
+        Y = U - cu and LQ = -cu give U <- (U - cu) + rho cu; LZ = V - cv
+        gives V <- cv + rho (V - cv); and lw <- rho lw.  rho is a power of
+        two, so every product is exact, and load then resets cu, cv and ws
+        at the new thresholds: cu comes back as rho cu and cv as cv.  Only
+        Y, where it is nonzero, and LZ, where Z sits at 1, can move, by a
+        rounding of the sum that holds them."""
+        if rp > _BALANCE_MU * rd:
+            tau = 2.0 * self.tau
+        elif rd > _BALANCE_MU * rp:
+            tau = 0.5 * self.tau
+        else:
+            return
+        rho = self.tau / tau
+        p.U -= p.cu
+        p.U += np.multiply(p.cu, rho, out=self.T)
+        p.V -= p.cv
+        p.V *= rho
+        p.V += p.cv
+        p.z[-1] *= rho
+        self._set_tau(tau)
+        self.load(p)
 
     def __call__(self, p: _Point) -> tuple[float, float, int]:
         """One sweep of p in place: (rp, rd, kept SVT rank).  NumericalError
@@ -798,10 +844,14 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps, checkpoint=None) -> _Po
     max_iter; the stop rule reads the sweeps at the current point only.  A
     failing plain step raises NumericalError.
 
+    Before that, every _BALANCE_EVERY-th sweep that did not end the solve
+    rebalances tau from its own residuals (see _DerivedSweep.balance).
+
     checkpoint(sweep, p, count), when given, runs after every sweep that
     moved the current point (plain or accepted) and did not end the solve,
-    while the sweep's buffers still belong to p; it only reads them, and
-    the solve stops when it returns True.
+    while the sweep's buffers still belong to p and before any rebalancing,
+    so that it reads them at the tau that sweep used; it only reads them,
+    and the solve stops when it returns True.
     """
 
     def moved() -> None:
@@ -851,6 +901,9 @@ def _derived_loop(sweep: _DerivedSweep, sweeps: _Sweeps, checkpoint=None) -> _Po
                 memory.push(g_next, g)
             g, g_next, g_norm = g_next, g, math.sqrt(g_next @ g_next)
         moved()
+        count = len(sweeps.rows)
+        if count < _ANDERSON_START and count % _BALANCE_EVERY == 0 and not sweeps.done:
+            sweep.balance(p, sweeps.rp, sweeps.rd)
     return p
 
 
@@ -913,9 +966,10 @@ class _RecoveryProof:
     def __init__(self, nonedge, sizes, gamma, sum_target, tol, symmetric):
         self.sizes = sizes
         self.nonedge = nonedge.astype(float)
-        # the l1 multipliers, and phi_x L for _hopeless and _screen
+        # the l1 multipliers, and phi_x L for _hopeless and _screen (see
+        # _lift)
         self.L = gamma * self.nonedge
-        self.lift = None
+        self.lift = self.lift_phi = None
         self.gamma = gamma
         self.symmetric = symmetric
         self.m = sum_target
@@ -980,8 +1034,7 @@ class _RecoveryProof:
     def _recovers(self, sweep: _DerivedSweep, p: _Point) -> bool:
         """The recovery test: True, with stop and distance set, when it
         proves every optimum within tol of X_T."""
-        if self.lift is None:
-            self.lift = sweep.phi_x * self.L
+        self._lift(sweep)
         if self._hopeless(sweep, p) or not self._screen(sweep, p) < self.tol:
             return False
         # the proof is about to fire: build the exact dual and bound ||W'||_2
@@ -991,6 +1044,15 @@ class _RecoveryProof:
             self.stop, self.distance = "proof_recovered", distance
             return True
         return False
+
+    def _lift(self, sweep: _DerivedSweep) -> None:
+        """Build lift = phi_x L at the sweep's phi_x: at the first call, and
+        again after residual balancing moved tau.  A stale one would not be
+        unsound (_dual and _norm_bound check what the screen passes), but it
+        would delay proofs."""
+        if self.lift_phi != sweep.phi_x:
+            self.lift_phi = sweep.phi_x
+            self.lift = sweep.phi_x * self.L
 
     def _hopeless(self, sweep: _DerivedSweep, p: _Point) -> bool:
         """True when the screen cannot pass, read off the part of its matrix
@@ -1214,10 +1276,11 @@ def _admm(
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.mode == "paper":
                 X, Y = _paper_loop(nonedge, sum_target, gamma, cfg.tau, shrink, sweeps)
+                tau = cfg.tau
             else:
                 sweep = _DerivedSweep(nonedge, sum_target, gamma, cfg.tau, shrink)
                 p = _derived_loop(sweep, sweeps, checkpoint)
-                X, Y = p.X.copy(), p.U - p.cu
+                X, Y, tau = p.X.copy(), p.U - p.cu, sweep.tau
     stop = "tol" if sweeps.converged else "cap" if len(sweeps.rows) == cfg.max_iter else "diverged"
     distance = math.nan
     if sweeps.proved:
@@ -1239,6 +1302,7 @@ def _admm(
         hit_cap=stop == "cap",
         stop=stop,
         proven_distance=distance,
+        tau=tau,
         _gamma=gamma,
         _symmetric=symmetric,
     )

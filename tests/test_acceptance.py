@@ -85,7 +85,6 @@ def test_criterion_1_clean_planted_recovery(clean_runs):
     )
 
 
-@pytest.mark.slow
 def test_criterion_2_noisy_recovery_extremes(figure_column):
     _, cells, records = figure_column
     by_k = {c.k: c for c in cells}
@@ -104,7 +103,6 @@ def test_criterion_2_noisy_recovery_extremes(figure_column):
     )
 
 
-@pytest.mark.slow
 def test_monotone_transition_property(figure_column):
     # recovery counts along k are non-decreasing after 3-cell median smoothing
     _, cells, _ = figure_column

@@ -142,6 +142,42 @@ class TestSolve:
         assert payload["recovered_subset"] == list(truth.subset(read_graph(out)).members)
         assert payload["X_relative_error_vs_ground_truth"] == 0.0
 
+    def test_proof_stop_takes_the_subset_from_the_support(self, tmp_path, monkeypatch):
+        # a proof returns X = 1_T1 1_T2', so T is read off its support and
+        # no SVD runs; it is the subset that round_to_subset gives
+        generate_dks(tmp_path, n=60, k=24, p=0.05, q=0.25, seed=0)
+        run(["generate", "--model", "dkb", "--n1", 16, "--n2", 16, "--k1", 6, "--k2", 6,
+             "--seed", 2, "--out", tmp_path / "b.txt"])
+        square, pair = read_graph(tmp_path / "g.txt"), io.read_bipartite(tmp_path / "b.txt")
+        expected = [
+            list(solver.round_to_subset(solver.solve_dks(square, 24).X, 24).members),
+            {side: list(s.members) for side, s in zip(
+                "uv", solver.round_to_subset(solver.solve_dkb(pair, 6, 6).X, (6, 6)))},
+        ]
+
+        def refuse(X, k):
+            raise AssertionError("round_to_subset after a proof")
+
+        monkeypatch.setattr(solver, "round_to_subset", refuse)
+        for argv, subset in zip(
+            (["--graph", tmp_path / "g.txt", "--k", 24],
+             ["--graph", tmp_path / "b.txt", "--k1", 6, "--k2", 6]),
+            expected,
+        ):
+            result_file = tmp_path / "result.json"
+            assert run(["solve", *argv, "--out", result_file]) == 0
+            payload = json.loads(result_file.read_text(encoding="utf-8"))
+            assert (payload["stop"], payload["recovered_subset"]) == ("proof", subset)
+
+    def test_solve_reports_the_final_penalty(self, tmp_path):
+        # this solve runs to tol at sweep 190, and residual balancing
+        # doubles tau on the way
+        out = generate_dks(tmp_path, n=30, k=12, p=0.3, q=0.4, seed=1)
+        result_file = tmp_path / "result.json"
+        assert run(["solve", "--graph", out, "--k", 12, "--out", result_file]) == 0
+        payload = json.loads(result_file.read_text(encoding="utf-8"))
+        assert payload["tau"] == solver.solve_dks(read_graph(out), 12).tau == 0.7
+
     def test_solve_without_proof_writes_null_distance(self, tmp_path):
         out = generate_dks(tmp_path, n=30, k=12, p=0.3, q=0.4, seed=1)
         result_file = tmp_path / "result.json"
@@ -190,7 +226,7 @@ class TestSolve:
             "X_relative_error_vs_ground_truth", "anderson_accepted", "anderson_rejected",
             "blas_threads", "converged", "dual_residual", "hit_cap",
             "iterations", "objective", "primal_residual", "proven_distance",
-            "recovered_subset", "stop",
+            "recovered_subset", "stop", "tau",
         ]
         assert payload["recovered_subset"] == {"u": u, "v": v}
 
@@ -715,6 +751,7 @@ class TestBench:
         assert payload["hit_cap"] is False
         assert payload["anderson_accepted"] == payload["anderson_rejected"] == 0
         assert payload["stop"] == "proof" and payload["proven_distance"] < 1e-4
+        assert payload["tau"] == 0.35
         assert payload["wall_time_s"] > 0
         assert payload["ms_per_iteration"] > 0
         expected = {

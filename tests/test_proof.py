@@ -297,12 +297,13 @@ def test_box_sum_projection_is_the_projection(size):
 
 def test_refutation_stops_a_small_k_trial():
     # k=6 of n=60 at p=0.05, q=0.25: the planted set is not recovered, and
-    # the proof stops the solve at sweep 300, where tol stops it at 383
+    # the proof stops the solve at its first try, sweep 200, where tol stops
+    # it at 239
     inst = sample_dks(PlantedDksParams(n=60, k=6, p=0.05, q=0.25, seed=6002))
     result, proof = _solve_dks(inst.graph, 6, None, inst.planted, TOL)
     assert proof.stop == "proof_not_recovered"
     assert math.isnan(proof.distance)
-    assert result.iterations == 300 and not result.hit_cap
+    assert result.iterations == 200 and not result.hit_cap
     assert relative_error(solve_dks(inst.graph, 6).X, inst.planted) >= TOL
 
 
@@ -526,8 +527,7 @@ def test_the_gate_never_ends_a_passing_screen(monkeypatch):
 
     def spy(self, sweep, p):
         nonlocal passed
-        if self.lift is None:
-            self.lift = sweep.phi_x * self.L
+        self._lift(sweep)
         hopeless = self._hopeless(sweep, p)
         if self._screen(sweep, p) < self.tol:
             passed += 1

@@ -702,3 +702,153 @@ class TestObjectiveDominance:
         _, Y = proposed_solution(inst.graph, inst.planted)
         expected = 25 + mult.gamma * np.abs(Y).sum()
         assert result.objective == pytest.approx(expected, abs=10 * cfg.tol)
+
+
+def balancing_off(monkeypatch):
+    """Keep tau fixed, as every derived solve did before residual
+    balancing."""
+    monkeypatch.setattr(solver._DerivedSweep, "balance", lambda self, p, rp, rd: None)
+
+
+class TestBalancing:
+    def test_checkpoints_run_at_the_tau_of_their_sweep(self, monkeypatch):
+        # every due checkpoint reads the sweep at the tau that sweep used,
+        # with lift = phi_x L at that phi_x, and its projected dual meets
+        # W'v = u (W'u = u in the square case); the SVT puts ||C - X||_2
+        # at phi_x whenever it keeps a pair, so a checkpoint run after a
+        # rescale would read it at twice or half of phi_x
+        used, moves, due = [], [], []
+        sweep_call = solver._DerivedSweep.__call__
+        balance = solver._DerivedSweep.balance
+        checkpoint = solver._RecoveryProof.__call__
+
+        def sweeping(self, p):
+            used.append(self.tau)
+            return sweep_call(self, p)
+
+        def balancing(self, p, rp, rd):
+            tau = self.tau
+            balance(self, p, rp, rd)
+            moves.append(self.tau != tau)
+
+        def checking(self, sweep, p, count):
+            is_due = count >= self.due
+            result = checkpoint(self, sweep, p, count)
+            if is_due:
+                assert sweep.tau == used[-1] and sweep.phi_x == 1.0 / (3.0 * used[-1])
+                assert np.array_equal(self.lift, sweep.phi_x * self.L)
+                _, W = self._dual(sweep, p)
+                np.testing.assert_allclose(W @ self.v, self.u, rtol=0, atol=1e-12)
+                E = sweep.C - p.X
+                if p.X.any():
+                    if self.symmetric:
+                        norm = np.abs(scipy.linalg.eigvalsh(0.5 * (E + E.T))).max()
+                    else:
+                        norm = np.linalg.svd(E, compute_uv=False)[0]
+                    assert norm == pytest.approx(sweep.phi_x, rel=1e-6)
+                due.append(count)
+            return result
+
+        monkeypatch.setattr(solver._DerivedSweep, "__call__", sweeping)
+        monkeypatch.setattr(solver._DerivedSweep, "balance", balancing)
+        monkeypatch.setattr(solver._RecoveryProof, "__call__", checking)
+        # n=14 to tol, n=60 stopped by a proof of recovery (k=12) and by a
+        # refutation (k=8), and 40x36 to tol
+        g, k = criterion_3_trial_0()
+        n60 = [sample_dks(PlantedDksParams(n=60, k=size, p=0.05, q=0.25, seed=seed))
+               for size, seed in ((12, 0), (8, 2))]
+        dkb = sample_dkb(PlantedDkbParams(n1=40, n2=36, k1=12, k2=10, p=0.05, q=0.25, seed=3))
+        for run in (
+            lambda: solve_dks(g, k),
+            lambda: solve_dks(n60[0].graph, 12),
+            lambda: solver._solve_dks(n60[1].graph, 8, None, n60[1].planted, 1e-3),
+            lambda: solve_dkb(dkb.graph, 12, 10),
+        ):
+            for seen in (used, moves, due):
+                seen.clear()
+            run()
+            assert sum(moves) >= 2 and len(due) >= 20
+
+    @pytest.mark.parametrize("instance", ["n14", "n60", "40x36"])
+    def test_rescale_moves_only_the_scaled_state(self, monkeypatch, instance):
+        # X, Z, W and the unscaled multipliers of Q and W stay bitwise, as
+        # rho is a power of two; Y = U - cu and tau LZ = tau (V - cv) can
+        # move by the one rounding of the sum that holds them, U = Y + rho cu
+        # and, where Z is 1, V = 1 + rho LZ
+        def state(sweep, p):
+            return dict(
+                X=p.X.copy(), Z=p.cv.copy(), W=p.X + p.ws, LQ=-sweep.tau * p.cu,
+                LW=sweep.tau * p.z[-1], Y=p.U - p.cu, LZ=sweep.tau * (p.V - p.cv),
+            )
+
+        moved = 0
+        balance = solver._DerivedSweep.balance
+
+        def balancing(self, p, rp, rd):
+            nonlocal moved
+            before, tau = state(self, p), self.tau
+            balance(self, p, rp, rd)
+            after = state(self, p)
+            assert self.tau in (tau, 2.0 * tau, 0.5 * tau)
+            moved += self.tau != tau
+            for name in ("X", "Z", "W", "LQ", "LW"):
+                assert np.array_equal(before[name], after[name]), name
+            assert (np.abs(after["Y"] - before["Y"]) <= np.spacing(np.abs(p.U))).all()
+            bound = 2.0 * self.tau * np.spacing(np.abs(p.V))
+            assert (np.abs(after["LZ"] - before["LZ"]) <= bound).all()
+
+        monkeypatch.setattr(solver._DerivedSweep, "balance", balancing)
+        if instance == "n14":
+            solve_dks(*criterion_3_trial_0())
+        elif instance == "n60":
+            solve_dks(sample_dks(PlantedDksParams(n=60, k=12, p=0.05, q=0.25, seed=0)).graph, 12)
+        else:
+            inst = sample_dkb(PlantedDkbParams(n1=40, n2=36, k1=12, k2=10, p=0.05, q=0.25, seed=3))
+            solve_dkb(inst.graph, 12, 10)
+        assert moved >= 2
+
+    def test_solves_that_end_before_the_first_check_keep_tau(self, monkeypatch):
+        # criterion 1 and the benchmark's n=250 square and 200x200
+        # bipartite shapes stop by proof before sweep _BALANCE_EVERY: the
+        # same solve with tau held fixed, bit for bit
+        problems = [
+            (sample_dks(PlantedDksParams(n=250, k=100, p=0.0, q=0.0, seed=seed)).graph, (100,))
+            for seed in range(10)
+        ] + [
+            (sample_dks(PlantedDksParams(n=250, k=k, p=0.05, q=0.25, seed=i)).graph, (k,))
+            for i, k in enumerate((75, 100, 125))
+        ]
+        problems.append((sample_dkb(PlantedDkbParams(
+            n1=200, n2=200, k1=60, k2=60, p=0.05, q=0.25, seed=0)).graph, (60, 60)))
+
+        def solve(g, sizes):
+            return solve_dks(g, *sizes) if len(sizes) == 1 else solve_dkb(g, *sizes)
+
+        results = [solve(*problem) for problem in problems]
+        balancing_off(monkeypatch)
+        for result, problem in zip(results, problems):
+            ref = solve(*problem)
+            assert result.iterations < solver._BALANCE_EVERY and result.tau == 0.35
+            assert (result.stop, result.iterations) == (ref.stop, ref.iterations)
+            for name in ("X", "Y", "residual_history", "svt_rank", "sweep_kind"):
+                assert np.array_equal(getattr(result, name), getattr(ref, name)), name
+
+    def test_balancing_moves_tau_and_keeps_the_verdict(self, monkeypatch):
+        # criterion-3 trial 0: fewer sweeps to tol, the same rounded subset
+        g, k = criterion_3_trial_0()
+        balanced = solve_dks(g, k)
+        balancing_off(monkeypatch)
+        fixed = solve_dks(g, k)
+        assert balanced.tau != 0.35 and fixed.tau == 0.35
+        assert balanced.stop == fixed.stop == "tol"
+        assert balanced.iterations < fixed.iterations
+        assert round_to_subset(balanced.X, k) == round_to_subset(fixed.X, k)
+
+    def test_paper_mode_never_rescales(self, monkeypatch):
+        def refuse(self, p, rp, rd):
+            raise AssertionError("paper mode rebalanced tau")
+
+        monkeypatch.setattr(solver._DerivedSweep, "balance", refuse)
+        g, k = criterion_3_trial_0()
+        result = solve_dks(g, k, SolverConfig(mode="paper", max_iter=60))
+        assert result.iterations > solver._BALANCE_EVERY and result.tau == 0.35
